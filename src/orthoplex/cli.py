@@ -64,12 +64,12 @@ def _emit(doc: dict, lines: List[str], args):
 
 def _run_packing(args, mode: str) -> packing.PackingReport:
     seed = _load_seed(args.seed)
-    budget = packing.resolve_budget(getattr(args, "budget", None))
-    spec = packing.PackingSpec(seed=seed, bend_cap=args.cap, mode=mode,
-                               budget=budget)
     try:
+        budget = packing.resolve_budget(getattr(args, "budget", None))
+        spec = packing.PackingSpec(seed=seed, bend_cap=args.cap, mode=mode,
+                                   budget=budget)
         return packing.generate(spec)
-    except packing.CapBelowSeedError as e:
+    except packing.WalkInputError as e:
         raise CliError(str(e))
 
 

@@ -1,10 +1,11 @@
 """Orbit enumeration for orthoplicial Apollonian packings.
 
-Two engines share one expansion rule (view a configuration as four
+Two walks share one expansion rule (view a configuration as four
 disjoint pairs; a move keeps one sphere per pair and replaces the rest):
 
-* bend mode works on integer bend vectors with numpy and canonicalizes
-  states under the symmetry group, which keeps the visited set small;
+* the integer engine walks bend vectors with numpy and canonicalizes
+  states under the symmetry group, which keeps the visited set small; it
+  serves bend mode and ``orbit_bend_vectors``;
 * geometric mode walks exact F-matrices and keeps every sphere.
 
 A child is enqueued only when the smallest bend it creates is at most
@@ -12,8 +13,11 @@ the cap.  Soundness of that prune is empirical: the suite checks mode
 agreement, monotone closure, and reproduction of the frozen reference bend
 sets rather than assuming a termination argument.
 
-Both engines are single-threaded and fully deterministic; reports emit
-every collection sorted, so identical runs are byte-identical.
+Both walks are single-threaded and breadth-first.  The integer engine
+checks the budget after each whole level, and the order of its states
+within a level is unspecified; that is safe because every reported
+quantity is an aggregate over whole levels.  Reports emit every
+collection sorted, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,10 +41,18 @@ DEFAULT_BUDGET = 10 ** 7
 DEFAULT_BOX = Fraction(10)
 
 _MASKS = tuple(itertools.product((0, 1), repeat=4))
-_MASKS_NP = np.array(_MASKS, dtype=np.int64).astype(bool)
+
+# Largest |value| a frontier of the integer engine may hold.  A move
+# computes 2*(sum(kept) - mu) - kept with |kept| <= 3*|value|, which stays
+# within 29*|value| < 2**63.
+_INT64_HEADROOM = 2 ** 58
 
 
-class CapBelowSeedError(ValueError):
+class WalkInputError(ValueError):
+    """A seed, cap or budget that the walks cannot run on."""
+
+
+class CapBelowSeedError(WalkInputError):
     """The cap excludes even the largest sphere of the seed."""
 
 
@@ -55,6 +67,9 @@ class PackingSpec:
     def __post_init__(self):
         if self.mode not in ("bend", "geom"):
             raise ValueError("mode must be 'bend' or 'geom'")
+        if self.budget < 1:
+            raise WalkInputError(
+                f"budget must be at least 1, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,7 @@ class PackingReport:
 def _seed_bend_vector(seed: FMatrix) -> BendVector:
     bv = seed.bend_vector()
     if not bv.is_integral():
-        raise ValueError("orbit enumeration needs an integral seed")
+        raise WalkInputError("orbit enumeration needs an integral seed")
     return bv
 
 
@@ -140,76 +155,84 @@ def generate(spec: PackingSpec) -> PackingReport:
 
 
 # ---------------------------------------------------------------------------
-# bend mode
+# integer engine: bend mode and orbit_bend_vectors
 
 
-def _canon_states(lo: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.sort(lo, axis=1), mu[:, None]], axis=1)
+def _check_headroom(peak: int):
+    if peak > _INT64_HEADROOM:
+        raise WalkInputError(
+            f"bend walk value of magnitude {peak} exceeds the int64 headroom "
+            f"2**{_INT64_HEADROOM.bit_length() - 1}")
+
+
+def _children(states: np.ndarray, cap: int) -> Iterator[np.ndarray]:
+    """The canonical states of the moves from ``states`` that create a bend
+    at most ``cap``, one C-contiguous batch per move pattern, duplicates
+    included."""
+    L = [states[:, k] for k in range(4)]
+    M = states[:, 4]
+    H = [2 * M - x for x in L]
+    for mask in _MASKS:
+        kept = [H[k] if mask[k] else L[k] for k in range(4)]
+        mu2 = kept[0] + kept[1] + kept[2] + kept[3] - M
+        # the new bends are 2*mu2 - kept; the smallest pairs with max(kept)
+        ok = 2 * mu2 - np.maximum(np.maximum(kept[0], kept[1]),
+                                  np.maximum(kept[2], kept[3])) <= cap
+        if ok.any():
+            mu2 = mu2[ok]
+            lo = np.stack([np.minimum(k, 2 * mu2 - k)
+                           for k in (x[ok] for x in kept)], axis=1)
+            yield np.concatenate([np.sort(lo, axis=1), mu2[:, None]], axis=1)
+
+
+def _bend_levels(bv: BendVector, cap: int) -> Iterator[np.ndarray]:
+    """The frontiers of the capped bend walk from ``bv``, one BFS level at
+    a time, the start state first.
+
+    A state is an int64 row: the smaller bend of each pair, sorted, then
+    b_mu.  States are deduped on their exact 40-byte images, so distinct
+    states never collide.  Row order within a level is unspecified."""
+    b = bv.as_ints()
+    start = sorted(min(x, 2 * b[4] - x) for x in b[:4]) + [b[4]]
+    _check_headroom(max(map(abs, start)))
+    frontier = np.array([start], dtype=np.int64)
+    visited = {frontier.tobytes()}
+    while True:
+        yield frontier
+        fresh = []
+        for batch in _children(frontier, cap):
+            keys = set(batch.view("V40").ravel().tolist())
+            keys -= visited
+            visited |= keys
+            fresh += keys
+        if not fresh:
+            return
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, 5)
+        _check_headroom(int(np.abs(frontier).max()))
 
 
 def _generate_bend(spec: PackingSpec, bv: BendVector, eps: int) -> PackingReport:
     cap = spec.bend_cap
-    b = np.array(bv.as_ints(), dtype=np.int64)
-    lo = np.minimum(b[:4], 2 * b[4] - b[:4])
-    frontier = _canon_states(lo[None, :], b[4:5])
-    visited = {frontier[0].tobytes()}
-
     mult: Counter = Counter()
-    bend_values: Set[int] = set()
     max_zero_in_state = 0
+    nstates = 0
     exhausted = True
-
-    def collect(states: np.ndarray):
-        nonlocal max_zero_in_state
+    for states in _bend_levels(bv, cap):
+        nstates += len(states)
         los = states[:, :4]
-        his = 2 * states[:, 4:5] - los
-        all8 = np.concatenate([los, his], axis=1)
-        zeros = int((all8 == 0).sum(axis=1).max(initial=0))
-        max_zero_in_state = max(max_zero_in_state, zeros)
+        all8 = np.concatenate([los, 2 * states[:, 4:5] - los], axis=1)
+        max_zero_in_state = max(max_zero_in_state,
+                                int((all8 == 0).sum(axis=1).max()))
         vals = all8.ravel()
-        vals = vals[vals <= cap]
-        uniq, counts = np.unique(vals, return_counts=True)
-        for v, c in zip(uniq.tolist(), counts.tolist()):
-            mult[v] += c
-        bend_values.update(uniq.tolist())
-
-    collect(frontier)
-    nstates = 1
-    while len(frontier):
-        L = frontier[:, :4]
-        M = frontier[:, 4]
-        H = 2 * M[:, None] - L
-        batches = []
-        for mask in _MASKS_NP:
-            kept = np.where(mask, H, L)
-            mu2 = kept.sum(axis=1) - M
-            new = 2 * mu2[:, None] - kept
-            ok = new.min(axis=1) <= cap
-            if not ok.any():
-                continue
-            batches.append(_canon_states(
-                np.minimum(kept[ok], new[ok]), mu2[ok]))
-        if not batches:
-            break
-        children = np.unique(np.concatenate(batches), axis=0)
-        fresh = []
-        for row in children:
-            key = row.tobytes()
-            if key not in visited:
-                visited.add(key)
-                fresh.append(row)
-        if not fresh:
-            break
-        frontier = np.stack(fresh)
-        nstates += len(fresh)
-        collect(frontier)
+        uniq, counts = np.unique(vals[vals <= cap], return_counts=True)
+        mult.update(dict(zip(uniq.tolist(), counts.tolist())))
         if nstates > spec.budget:
             exhausted = False
             break
 
-    bends = tuple(sorted(bend_values))
+    bends = tuple(sorted(mult))
     negatives = {v for v in bends if v < 0}
-    zero_spheres = max_zero_in_state if 0 in bend_values else 0
+    zero_spheres = max_zero_in_state if 0 in mult else 0
     return PackingReport(
         mode="bend",
         bend_cap=cap,
@@ -318,34 +341,19 @@ def _generate_geom(spec: PackingSpec, eps: int) -> PackingReport:
 def orbit_bend_vectors(seed: FMatrix, cap: int,
                        budget: int = DEFAULT_BUDGET) -> List[BendVector]:
     """Canonical bend vectors of every configuration the bend-mode walk
-    visits at this cap.  Each is a genuine bend vector of a reordered
-    configuration: picking one sphere per disjoint pair is admissible."""
-    bv = _seed_bend_vector(seed)
-    b = bv.as_ints()
-    lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
-    start = lo + (b[4],)
-    visited = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            los, mu = state[:4], state[4]
-            his = tuple(2 * mu - x for x in los)
-            for mask in _MASKS:
-                kept = tuple(his[k] if mask[k] else los[k] for k in range(4))
-                mu2 = sum(kept) - mu
-                new = tuple(2 * mu2 - c for c in kept)
-                if min(new) > cap:
-                    continue
-                child = tuple(sorted(min(c, n) for c, n in zip(kept, new))) + (mu2,)
-                if child in visited:
-                    continue
-                visited.add(child)
-                nxt.append(child)
-                if len(visited) > budget:
-                    raise RuntimeError("node budget exceeded")
-        frontier = nxt
-    return [BendVector(s) for s in sorted(visited)]
+    visits at this cap, sorted.  Each is a genuine bend vector of a
+    reordered configuration: picking one sphere per disjoint pair is
+    admissible."""
+    levels = []
+    count = 0
+    for states in _bend_levels(_seed_bend_vector(seed), cap):
+        count += len(states)
+        if count > budget:
+            raise RuntimeError("node budget exceeded")
+        levels.append(states)
+    states = np.concatenate(levels)
+    states = states[np.lexsort(states.T[::-1])]
+    return [BendVector(s) for s in states.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +437,10 @@ def resolve_budget(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("ORTHOPLEX_BUDGET")
-    if env:
+    if not env:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise WalkInputError(
+            f"ORTHOPLEX_BUDGET must be an integer, got {env!r}") from None

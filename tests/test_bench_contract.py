@@ -1,0 +1,55 @@
+"""What the benchmark in ``benchmarks/`` needs from the program.
+
+The benchmark patches and wraps the program from outside, so a change that
+renames a function, stops calling it through its module attribute, or
+routes one walk through another can break a benchmark run while every
+other test passes.  These tests import the benchmark's tracer and workload
+modules, change nothing in them, and check the rules they rely on.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+from orthoplex import packing  # noqa: E402
+from orthoplex.config import F1  # noqa: E402
+
+
+def test_tracer_binds_every_target():
+    # installed() raises when a target has no binding left to patch
+    with tracer.Tracer().installed([workloads]):
+        pass
+
+
+def test_walk_states_sees_a_cli_walk_from_a_seed_file(tmp_path):
+    _, start = workloads.start_config(random.Random(0), "F1", 68, geom=False)
+    path = workloads.write_seed(start, tmp_path / "start.json")
+    with workloads.walk_states() as states:
+        code, out = workloads.run_cli(["bends", "--seed", path, "--cap", "68"])
+    assert code == 0 and sum(states) > 0
+    assert (code, out) == workloads.run_cli(
+        ["bends", "--seed", "builtin:F1", "--cap", "68"])
+
+
+def test_traced_bend_walk_reaches_the_obstruction():
+    t = tracer.Tracer()
+    with t.installed([workloads]):
+        code, _ = workloads.run_cli(["bends", "--seed", "builtin:F1",
+                                     "--cap", "20"])
+    totals = t.layer_totals()
+    assert code == 0
+    assert totals["packing.generate.calls"] == 1
+    assert totals["arithmetic.epsilon_of.calls"] >= 1
+
+
+def test_traced_orbit_bend_vectors_never_calls_generate():
+    t = tracer.Tracer()
+    with t.installed([workloads]):
+        vectors = packing.orbit_bend_vectors(F1, 20)
+    totals = t.layer_totals()
+    assert totals["packing.orbit_bend_vectors.vectors"] == len(vectors) > 0
+    assert totals["packing.generate.calls"] == 0

@@ -1,11 +1,14 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
 
 from orthoplex import cli
-from orthoplex.config import F1
+from orthoplex.config import F1, FMatrix
+from orthoplex.groups import APOLLONIAN, apply, element
+from orthoplex.inversive import Coord5
 
 from conftest import EXPECTED_BENDS_P1
 
@@ -162,6 +165,10 @@ def test_unknown_seed_is_validation_error(capsys):
     assert "unknown seed" in err
 
 
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_seed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -173,6 +180,26 @@ def test_malformed_seed_file(tmp_path, capsys):
     code, _, err = run_cli(["bends", "--seed", str(wrong), "--cap", "5"],
                            capsys)
     assert code == 2 and "Gramian" in err
+
+    # F1 dilated by 2 passes the identities but has half-integral bends
+    dilated = tmp_path / "dilated.json"
+    dilated.write_text(json.dumps(FMatrix(tuple(
+        Coord5(r.a * 2, r.b * Fraction(1, 2), r.xhat, r.yhat, r.zhat)
+        for r in F1.rows)).to_json_dict()))
+    code, _, err = run_cli(["bends", "--seed", str(dilated), "--cap", "5"],
+                           capsys)
+    assert code == 2 and "integral seed" in err
+    assert_one_error_line(err)
+
+    # F1 under 37 generators: b_mu passes 2**59, past the int64 headroom
+    deep = apply(element("Apollonian", (list(APOLLONIAN) * 3)[:37]), F1)
+    cap = min(int(b) for b in deep.bend_vector().bends8())
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(deep.to_json_dict()))
+    code, _, err = run_cli(["bends", "--seed", str(path), "--cap", str(cap),
+                            "--budget", "5"], capsys)
+    assert code == 2 and "int64 headroom" in err
+    assert_one_error_line(err)
 
 
 def test_seed_file_round_trip(tmp_path, capsys, schema, fmatrix_schema):
@@ -197,6 +224,11 @@ def test_budget_exhaustion_exit_code(capsys):
         ["bends", "--seed", "builtin:F1", "--cap", "68", "--budget", "3"],
         capsys)
     assert code == 3
+    for budget in ("0", "-1"):
+        code, out, err = run_cli(["bends", "--seed", "builtin:F1", "--cap",
+                                  "68", "--budget", budget], capsys)
+        assert code == 2 and out == "" and "budget must be at least 1" in err
+        assert_one_error_line(err)
 
 
 def test_budget_env_override(monkeypatch, capsys):
@@ -204,6 +236,11 @@ def test_budget_env_override(monkeypatch, capsys):
     code, _, _ = run_cli(["bends", "--seed", "builtin:F1", "--cap", "68"],
                          capsys)
     assert code == 3
+    monkeypatch.setenv("ORTHOPLEX_BUDGET", "abc")
+    code, out, err = run_cli(["bends", "--seed", "builtin:F1", "--cap", "68"],
+                             capsys)
+    assert code == 2 and out == "" and "ORTHOPLEX_BUDGET" in err
+    assert_one_error_line(err)
     monkeypatch.delenv("ORTHOPLEX_BUDGET")
 
 

@@ -1,18 +1,23 @@
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
-from orthoplex.config import F0, F1, F7D, bend_vector
+from orthoplex.config import F0, F1, F7D, BendVector, bend_vector
+from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
-    CapBelowSeedError, PackingReport, PackingSpec, export_scene,
-    generate, missing_admissible, orbit_bend_vectors, resolve_budget,
+    CapBelowSeedError, PackingReport, PackingSpec, WalkInputError,
+    export_scene, generate, missing_admissible, orbit_bend_vectors,
+    resolve_budget,
 )
 
 from conftest import (
     EXPECTED_BENDS_P0, EXPECTED_BENDS_P1, EXPECTED_BENDS_P7D, EXPECTED_BLOCK_P7D,
+    SEEDS, random_apollonian_word,
 )
 
 
@@ -144,6 +149,94 @@ def test_stabilizer_bends_appear_in_orbit():
     assert set(produced) <= set(rep.bends)
 
 
+def reference_walk(seed, cap, budget):
+    """The capped bend walk in pure Python on unbounded ints, level by
+    level: the oracle for the numpy engine.  Returns the visited states and
+    whether the frontier emptied before a level took the count past the
+    budget."""
+    b = bend_vector(seed).as_ints()
+    lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
+    start = lo + (b[4],)
+    visited = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            los, mu = state[:4], state[4]
+            his = tuple(2 * mu - x for x in los)
+            for mask in itertools.product((0, 1), repeat=4):
+                kept = tuple(his[k] if mask[k] else los[k] for k in range(4))
+                mu2 = sum(kept) - mu
+                new = tuple(2 * mu2 - c for c in kept)
+                if min(new) > cap:
+                    continue
+                child = tuple(sorted(min(c, n) for c, n in zip(kept, new))) + (mu2,)
+                if child in visited:
+                    continue
+                visited.add(child)
+                nxt.append(child)
+        frontier = nxt
+        if frontier and len(visited) > budget:
+            return visited, False
+    return visited, True
+
+
+def assert_matches_reference(seed, cap, budget):
+    visited, exhausted = reference_walk(seed, cap, budget)
+    mult = Counter()
+    for s in visited:
+        mult.update(v for v in s[:4] + tuple(2 * s[4] - x for x in s[:4])
+                    if v <= cap)
+    rep = generate(PackingSpec(seed=seed, bend_cap=cap, budget=budget))
+    assert rep.states == len(visited)
+    assert rep.bends == tuple(sorted(mult))
+    assert rep.bend_multiplicity == dict(mult)
+    assert rep.frontier_exhausted == exhausted
+    if exhausted:
+        assert orbit_bend_vectors(seed, cap, budget) == [
+            BendVector(s) for s in sorted(visited)]
+    else:
+        with pytest.raises(RuntimeError):
+            orbit_bend_vectors(seed, cap, budget)
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS))
+def test_integer_engine_matches_reference_on_builtins(name):
+    for cap in (20, 68, 250):
+        for budget in (10 ** 7, 5):
+            assert_matches_reference(SEEDS[name], cap, budget)
+
+
+def test_integer_engine_matches_reference_on_images():
+    # starts deeper in each packing, whose walks reach smaller bends than
+    # the start's own
+    r = random.Random(2024)
+    went_below = 0
+    for name in sorted(SEEDS):
+        for _ in range(3):
+            image = apply(random_apollonian_word(r, 4), SEEDS[name])
+            own_min = min(int(b) for b in bend_vector(image).bends8())
+            for budget in (10 ** 7, 5):
+                rep = assert_matches_reference(image, max(own_min, 68), budget)
+                went_below += rep.bends[0] < own_min
+    assert went_below
+
+
+def test_int64_headroom_guard():
+    # the generators in table order, cycled: 37 letters take F1's b_mu past
+    # 2**59, inside int64 but past the engine's headroom
+    word = (list(APOLLONIAN) * 3)[:37]
+    image = apply(element("Apollonian", word), F1)
+    bends = [int(b) for b in bend_vector(image).bends8()]
+    assert max(abs(int(b)) for b in bend_vector(image)) < 2 ** 63
+    cap = min(bends)
+    with pytest.raises(WalkInputError, match="int64 headroom"):
+        generate(PackingSpec(seed=image, bend_cap=cap, budget=5))
+    with pytest.raises(WalkInputError, match="int64 headroom"):
+        orbit_bend_vectors(image, cap, budget=5)
+
+
 def test_orbit_bend_vectors_all_satisfy_cone():
     from orthoplex.config import descartes_form
     from orthoplex.ring import QSqrt2
@@ -220,6 +313,10 @@ def test_resolve_budget_env(monkeypatch):
     assert resolve_budget(123) == 123
     monkeypatch.setenv("ORTHOPLEX_BUDGET", "456")
     assert resolve_budget() == 456
+    assert resolve_budget(123) == 123
+    monkeypatch.setenv("ORTHOPLEX_BUDGET", "abc")
+    with pytest.raises(WalkInputError, match="ORTHOPLEX_BUDGET"):
+        resolve_budget()
     assert resolve_budget(123) == 123
 
 
