@@ -66,10 +66,6 @@ def epsilon_of(bends8: Sequence[int]) -> ObstructionClass:
     )
 
 
-def epsilon_of_bend_vector(bv: BendVector) -> ObstructionClass:
-    return epsilon_of([int(b) for b in bv.bends8()])
-
-
 # ---------------------------------------------------------------------------
 # mod-8 enumeration
 

@@ -22,12 +22,13 @@ SCHEMA_VERSION = 1
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Invalid input: one ``error:`` line on stderr and exit 2."""
 
 
-def _load_seed(spec: str) -> FMatrix:
+def _load_seed(spec: str, check: bool = True) -> FMatrix:
+    """A builtin seed or an FMatrix JSON file.  A seed that fails the
+    Gramian/Descartes identities is invalid input unless ``check`` is off,
+    as it is for ``verify``, which reports on the identities itself."""
     name = spec.split(":", 1)[1] if spec.startswith("builtin:") else spec
     if name in BUILTIN_SEEDS:
         return BUILTIN_SEEDS[name]
@@ -38,13 +39,13 @@ def _load_seed(spec: str) -> FMatrix:
         raise CliError(
             f"unknown seed {spec!r}: use builtin:{'|'.join(sorted(BUILTIN_SEEDS))} "
             "or a readable FMatrix JSON file")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also not UTF-8, or too deep
         raise CliError(f"seed file {spec!r} is not valid JSON: {e}")
     try:
         f = FMatrix.from_json_dict(data)
-    except Exception as e:
+    except ValueError as e:
         raise CliError(f"seed file {spec!r} is not a valid FMatrix: {e}")
-    if not check_gramian(f) or not check_dgm(f):
+    if check and not (check_gramian(f) and check_dgm(f)):
         raise CliError(f"seed file {spec!r} fails the Gramian/Descartes "
                        "identities; not an admissible configuration")
     return f
@@ -52,6 +53,14 @@ def _load_seed(spec: str) -> FMatrix:
 
 def _emit_json(doc: dict, out=None):
     (out or sys.stdout).write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_out(path: str, blob: bytes):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    except OSError as e:
+        raise CliError(f"cannot write {path!r}: {e.strerror}")
 
 
 def _emit(doc: dict, lines: List[str], args):
@@ -64,13 +73,9 @@ def _emit(doc: dict, lines: List[str], args):
 
 def _run_packing(args, mode: str) -> packing.PackingReport:
     seed = _load_seed(args.seed)
-    try:
-        budget = packing.resolve_budget(getattr(args, "budget", None))
-        spec = packing.PackingSpec(seed=seed, bend_cap=args.cap, mode=mode,
-                                   budget=budget)
-        return packing.generate(spec)
-    except packing.WalkInputError as e:
-        raise CliError(str(e))
+    budget = packing.resolve_budget(getattr(args, "budget", None))
+    return packing.generate(packing.PackingSpec(
+        seed=seed, bend_cap=args.cap, mode=mode, budget=budget))
 
 
 def cmd_gen(args) -> int:
@@ -79,8 +84,7 @@ def cmd_gen(args) -> int:
            "seed": args.seed, "report": report.to_json_dict()}
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_out(args.out, payload.encode())
     if args.json:
         sys.stdout.write(payload)
     else:
@@ -137,9 +141,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    seed = _load_seed(args.seed)
-    bv = seed.bend_vector()
-    obs = arithmetic.epsilon_of([int(b) for b in bv.bends8()])
+    _, obs = packing._seed_obstruction(_load_seed(args.seed))
     doc = {"schema_version": SCHEMA_VERSION, "command": "obstruct",
            "seed": args.seed, "epsilon": obs.epsilon,
            "forbidden_residue": obs.forbidden_residue}
@@ -181,10 +183,8 @@ def cmd_qform(args) -> int:
             f = groups.apply(groups.ordering_element(args.ordering), seed)
         except ValueError as e:
             raise CliError(str(e))
-    bv = f.bend_vector()
-    if not bv.is_integral():
-        raise CliError("seed bend vector is not integral")
     try:
+        bv = f.bend_vector()
         q = arithmetic.qform_from_bend_vector(bv)
     except ValueError as e:
         raise CliError(str(e))
@@ -223,23 +223,10 @@ def cmd_qform(args) -> int:
     return 0
 
 
-def _load_seed_unchecked(spec: str) -> FMatrix:
-    """Parse a seed without the identity gate; verify reports on it."""
-    name = spec.split(":", 1)[1] if spec.startswith("builtin:") else spec
-    if name in BUILTIN_SEEDS:
-        return BUILTIN_SEEDS[name]
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return FMatrix.from_json_dict(data)
-    except (OSError, ValueError) as e:
-        raise CliError(f"cannot read seed {spec!r}: {e}")
-
-
 def _verification_checks(seed_specs: List[str]) -> List[dict]:
     checks = []
     for spec in seed_specs:
-        f = _load_seed_unchecked(spec)
+        f = _load_seed(spec, check=False)
         checks.append({"name": f"gramian[{spec}]", "ok": check_gramian(f)})
         checks.append({"name": f"descartes[{spec}]", "ok": check_dgm(f)})
     for name, rel in (("platonic", groups.verify_platonic_relations()),
@@ -318,8 +305,7 @@ def cmd_export(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
+        _write_out(args.out, blob)
     else:
         sys.stdout.buffer.write(blob)
     return 0 if report.frontier_exhausted else 3
@@ -412,9 +398,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
+    except (CliError, packing.WalkInputError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return 2
 
 
 def main() -> None:

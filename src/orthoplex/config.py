@@ -121,9 +121,6 @@ class FMatrix:
         """Right action by a Moebius matrix (acts on each row)."""
         return FMatrix.from_mat(self.mat() * m)
 
-    def serialize(self) -> Tuple[Tuple[str, ...], ...]:
-        return tuple(r.serialize() for r in self.rows)
-
     def to_json_dict(self) -> dict:
         return {"rows": [list(r.serialize()) for r in self.rows]}
 
@@ -131,9 +128,10 @@ class FMatrix:
     def from_json_dict(cls, data: dict) -> "FMatrix":
         from .ring import parse_qsqrt2
 
-        rows = data.get("rows")
+        rows = data.get("rows") if isinstance(data, dict) else None
         if not isinstance(rows, list) or len(rows) != 5 or any(
-            not isinstance(r, list) or len(r) != 5 for r in rows
+            not isinstance(r, list) or len(r) != 5
+            or not all(isinstance(s, str) for s in r) for r in rows
         ):
             raise ValueError("FMatrix JSON needs a 5x5 'rows' array of strings")
         return cls(tuple(
@@ -343,18 +341,6 @@ def complete_quadruple(rows: Sequence[Coord5]) -> Tuple[FMatrix, FMatrix]:
     if tuple(w2) < tuple(w1):
         w1, w2 = w2, w1
     return FMatrix(rows + (w1,)), FMatrix(rows + (w2,))
-
-
-def bend_vector(f: FMatrix) -> BendVector:
-    return f.bend_vector()
-
-
-def is_integral(bv: BendVector) -> bool:
-    return bv.is_integral()
-
-
-def is_primitive(bv: BendVector) -> bool:
-    return bv.is_primitive()
 
 
 def _c5(*vals) -> Coord5:

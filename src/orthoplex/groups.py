@@ -181,12 +181,6 @@ def generators(name: str) -> GeneratorTable:
     return GeneratorTable(name, tuple(_TABLES[name].items()))
 
 
-def oriented_generators(name: str) -> GeneratorTable:
-    if not name.endswith("Oriented"):
-        name = name + "Oriented"
-    return generators(name)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A 5x5 integer matrix with the word that produced it."""
@@ -221,10 +215,6 @@ def _fold_word(table: str, word: Sequence[str]) -> IntRows:
 def element(table: str, word: Iterable[str]) -> GroupElement:
     word = tuple(word)
     return GroupElement(table, word, _fold_word(table, word))
-
-
-def identity_element(table: str = "Apollonian") -> GroupElement:
-    return element(table, ())
 
 
 def verify_orthogonality(g: GroupElement) -> Tuple[bool, int]:

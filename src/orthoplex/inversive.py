@@ -118,10 +118,6 @@ class PairRelation:
     def disjoint(self) -> bool:
         return self.kind.startswith("disjoint")
 
-    @property
-    def nested(self) -> bool:
-        return self.kind.endswith("_nested")
-
 
 _MINUS_HALF = QSqrt2(Fraction(-1, 2))
 _HALF = QSqrt2(Fraction(1, 2))

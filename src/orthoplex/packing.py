@@ -8,6 +8,11 @@ disjoint pairs; a move keeps one sphere per pair and replaces the rest):
   serves bend mode and ``orbit_bend_vectors``;
 * geometric mode walks exact F-matrices and keeps every sphere.
 
+Both walks dedupe states on exact values: the integer engine on the bytes
+of its int64 rows, geometric mode on the exact coordinate rows themselves
+(each sphere paired with its disjoint partner, the pairs unordered), so
+two distinct states never share a key.
+
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
 agreement, monotone closure, and reproduction of the frozen reference bend
@@ -28,7 +33,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,7 +67,6 @@ class PackingSpec:
     bend_cap: int
     mode: str = "bend"  # "bend" or "geom"
     budget: int = DEFAULT_BUDGET
-    box_limit: Fraction = DEFAULT_BOX
 
     def __post_init__(self):
         if self.mode not in ("bend", "geom"):
@@ -119,10 +123,21 @@ class PackingReport:
 
 
 def _seed_bend_vector(seed: FMatrix) -> BendVector:
-    bv = seed.bend_vector()
-    if not bv.is_integral():
-        raise WalkInputError("orbit enumeration needs an integral seed")
-    return bv
+    if not all(r.b.is_integer() for r in seed.rows):
+        raise WalkInputError(
+            "bend walks and the mod-4 obstruction need an integral seed")
+    return seed.bend_vector()
+
+
+def _seed_obstruction(seed: FMatrix) -> Tuple[BendVector, ObstructionClass]:
+    """The integral bend vector of ``seed`` and its mod-4 obstruction,
+    which is defined only for primitive configurations."""
+    bv = _seed_bend_vector(seed)
+    if not bv.is_primitive():
+        raise WalkInputError(
+            "the mod-4 obstruction needs a primitive seed: its bends "
+            f"{tuple(map(int, bv))} share a factor")
+    return bv, epsilon_of(bv.bends8())
 
 
 def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
@@ -136,19 +151,16 @@ def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
 
 
 def generate(spec: PackingSpec) -> PackingReport:
-    bv = _seed_bend_vector(spec.seed)
-    bends8 = [int(b) for b in bv.bends8()]
-    if spec.bend_cap < min(bends8):
+    bv, obs = _seed_obstruction(spec.seed)
+    low = int(min(bv.bends8()))
+    if spec.bend_cap < low:
         raise CapBelowSeedError(
-            f"cap {spec.bend_cap} is below every seed bend (min {min(bends8)})"
-        )
-    eps = epsilon_of(bends8).epsilon
+            f"cap {spec.bend_cap} is below every seed bend (min {low})")
     if spec.mode == "bend":
-        report = _generate_bend(spec, bv, eps)
+        report = _generate_bend(spec, bv, obs.epsilon)
     else:
-        report = _generate_geom(spec, eps)
-    forbidden = (-eps) % 4
-    bad = [b for b in report.bends if b % 4 == forbidden]
+        report = _generate_geom(spec, obs.epsilon)
+    bad = [b for b in report.bends if not obs.admits(b)]
     if bad:
         raise RuntimeError(f"local obstruction violated by bends {bad}")
     return report
@@ -249,45 +261,39 @@ def _generate_bend(spec: PackingSpec, bv: BendVector, eps: int) -> PackingReport
 # geometric mode
 
 
-def _pair_key(a: Coord5, b: Coord5) -> Tuple:
-    ka, kb = a.serialize(), b.serialize()
-    return (ka, kb) if ka <= kb else (kb, ka)
-
-
-def _canon_geom(rows: Sequence[Coord5], mu: Coord5) -> Tuple:
-    pairs = sorted(_pair_key(r, mu.scale(2) - r) for r in rows)
-    return (tuple(pairs), mu.serialize())
-
-
-def _in_box(v: Coord5, limit: Fraction) -> bool:
+def _in_box(v: Coord5) -> bool:
     if not v.b:
         return True
-    lim = QSqrt2(limit)
-    bound = lim * abs(v.b)
+    bound = QSqrt2(DEFAULT_BOX) * abs(v.b)
     return all(abs(c) <= bound for c in (v.xhat, v.yhat, v.zhat))
 
 
 def _generate_geom(spec: PackingSpec, eps: int) -> PackingReport:
     cap = QSqrt2(spec.bend_cap)
-    seed_rows = tuple(spec.seed.rows[:4])
+    visited: Set[Tuple] = set()
+    spheres: Set[Coord5] = set()
+
+    def visit(rows, his, mu) -> bool:
+        """Record a state unless it was seen; ``his[k]`` is the disjoint
+        partner 2*mu - rows[k] of ``rows[k]``."""
+        key = (frozenset(map(frozenset, zip(rows, his))), mu)
+        if key in visited:
+            return False
+        visited.add(key)
+        spheres.update(rows)
+        spheres.update(his)
+        return True
+
+    seed_rows = spec.seed.rows[:4]
     seed_mu = spec.seed.antipodal_row
-    visited = {_canon_geom(seed_rows, seed_mu)}
-    spheres: Dict[Tuple, Coord5] = {}
-
-    def collect(rows, mu):
-        for r in rows:
-            for v in (r, mu.scale(2) - r):
-                spheres.setdefault(v.serialize(), v)
-
-    collect(seed_rows, seed_mu)
-    frontier = [(seed_rows, seed_mu)]
+    seed_his = [seed_mu.scale(2) - r for r in seed_rows]
+    visit(seed_rows, seed_his, seed_mu)
+    frontier = [(seed_rows, seed_his, seed_mu)]
     nstates = 1
     exhausted = True
     while frontier:
         nxt = []
-        for rows, mu in frontier:
-            two_mu = mu.scale(2)
-            his = [two_mu - r for r in rows]
+        for rows, his, mu in frontier:
             for mask in _MASKS:
                 kept = [his[k] if mask[k] else rows[k] for k in range(4)]
                 mu2 = kept[0] + kept[1] + kept[2] + kept[3] - mu
@@ -295,14 +301,11 @@ def _generate_geom(spec: PackingSpec, eps: int) -> PackingReport:
                 new = [two_mu2 - c for c in kept]
                 if all(n.b > cap for n in new):
                     continue
-                if not any(_in_box(n, spec.box_limit) for n in new):
+                if not any(_in_box(n) for n in new):
                     continue
-                key = _canon_geom(kept, mu2)
-                if key in visited:
+                if not visit(kept, new, mu2):
                     continue
-                visited.add(key)
-                collect(kept, mu2)
-                nxt.append((tuple(kept), mu2))
+                nxt.append((kept, new, mu2))
                 nstates += 1
                 if nstates > spec.budget:
                     exhausted = False
@@ -313,9 +316,8 @@ def _generate_geom(spec: PackingSpec, eps: int) -> PackingReport:
             break
         frontier = nxt
 
-    kept_spheres = tuple(
-        v for _, v in sorted(spheres.items()) if v.b <= cap
-    )
+    kept_spheres = tuple(sorted((v for v in spheres if v.b <= cap),
+                                key=Coord5.serialize))
     bend_list = []
     for v in kept_spheres:
         b = v.b
@@ -360,10 +362,6 @@ def orbit_bend_vectors(seed: FMatrix, cap: int,
 # report queries
 
 
-def bend_set(report: PackingReport) -> List[int]:
-    return list(report.bends)
-
-
 def missing_admissible(report: PackingReport, up_to: int,
                        start: Optional[int] = None) -> List[int]:
     """Admissible integers in [start, up_to] absent from the bend set."""
@@ -376,13 +374,9 @@ def missing_admissible(report: PackingReport, up_to: int,
     if start is None:
         start = report.min_bend
     have = set(report.bends)
-    forbidden = (-report.epsilon) % 4
+    obs = report.obstruction()
     return [n for n in range(start, up_to + 1)
-            if n % 4 != forbidden and n not in have]
-
-
-def classify(report: PackingReport) -> str:
-    return report.classification
+            if obs.admits(n) and n not in have]
 
 
 # ---------------------------------------------------------------------------

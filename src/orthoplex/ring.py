@@ -96,9 +96,6 @@ class QSqrt2:
     def __rtruediv__(self, other):
         return QSqrt2.coerce(other) * self.inverse()
 
-    def conjugate(self) -> "QSqrt2":
-        return QSqrt2(self.rat, -self.irr)
-
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(2) = 1.414..."""
         a, b = self.rat, self.irr
@@ -128,9 +125,6 @@ class QSqrt2:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def is_rational(self) -> bool:
-        return self.irr == 0
-
     def is_integer(self) -> bool:
         return self.irr == 0 and self.rat.denominator == 1
 
@@ -148,22 +142,6 @@ class QSqrt2:
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
-
-
-def qadd(x: QSqrt2, y: QSqrt2) -> QSqrt2:
-    return QSqrt2.coerce(x) + y
-
-
-def qmul(x: QSqrt2, y: QSqrt2) -> QSqrt2:
-    return QSqrt2.coerce(x) * y
-
-
-def qneg(x: QSqrt2) -> QSqrt2:
-    return -QSqrt2.coerce(x)
-
-
-def qinv(x: QSqrt2) -> QSqrt2:
-    return QSqrt2.coerce(x).inverse()
 
 
 def _frac_str(f: Fraction) -> str:
@@ -216,7 +194,10 @@ def parse_qsqrt2(text: str) -> QSqrt2:
         if m.group("bare"):
             irr += sign
         else:
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {text!r}") from None
             if m.group("star"):
                 irr += sign * coef
             else:
@@ -378,18 +359,3 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat({self.rows}x{self.cols})"
 
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    return a * b
-
-
-def mat_transpose(a: Mat) -> Mat:
-    return a.transpose()
-
-
-def mat_inverse(a: Mat) -> Mat:
-    return a.inverse()
-
-
-def mat_det(a: Mat) -> QSqrt2:
-    return a.det()

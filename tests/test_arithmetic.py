@@ -11,7 +11,7 @@ from orthoplex.arithmetic import (
     is_isotropic_at, is_positive_definite, local_classes,
     qform_from_bend_vector, spin, stabilizer_from_spin,
 )
-from orthoplex.config import BendVector, F0, F1, F7D, bend_vector
+from orthoplex.config import BendVector, F0, F1, F7D
 from orthoplex.groups import APOLLONIAN, element
 from orthoplex.ring import Mat
 
@@ -63,9 +63,9 @@ def test_epsilon_of_v1():
 
 
 def test_epsilon_of_builtin_bend_vectors():
-    assert epsilon_of(bend_vector(F0).bends8()).epsilon == 1
-    assert epsilon_of(bend_vector(F7D).bends8()).epsilon == 1
-    assert epsilon_of(bend_vector(F1).bends8()).epsilon == -1
+    assert epsilon_of(F0.bend_vector().bends8()).epsilon == 1
+    assert epsilon_of(F7D.bend_vector().bends8()).epsilon == 1
+    assert epsilon_of(F1.bend_vector().bends8()).epsilon == -1
 
 
 def test_epsilon_rejects_even_tuple():
@@ -281,19 +281,19 @@ def test_complete_pair_rejects_bad_congruence():
 
 
 def test_qform_of_f1():
-    q = qform_from_bend_vector(bend_vector(F1))
+    q = qform_from_bend_vector(F1.bend_vector())
     assert (q.A, q.B, q.C, q.D) == (4, 0, -4, 5)
     assert q.B ** 2 + q.C ** 2 - q.A * q.D == -4
 
 
 def test_qform_of_f0():
-    q = qform_from_bend_vector(bend_vector(F0))
+    q = qform_from_bend_vector(F0.bend_vector())
     assert (q.A, q.B, q.C, q.D) == (0, 0, 0, 1)
     assert q.B ** 2 + q.C ** 2 - q.A * q.D == 0
 
 
 def test_qform_of_f7d():
-    q = qform_from_bend_vector(bend_vector(F7D))
+    q = qform_from_bend_vector(F7D.bend_vector())
     assert q.B ** 2 + q.C ** 2 - q.A * q.D == -400
 
 
@@ -308,19 +308,19 @@ def test_quaternary_invariant_enforced():
 
 
 def test_discriminants():
-    assert discriminant(qform_from_bend_vector(bend_vector(F1))) == 256
-    assert discriminant(qform_from_bend_vector(bend_vector(F0))) == 0
-    assert discriminant(qform_from_bend_vector(bend_vector(F7D))) == 40 ** 4
+    assert discriminant(qform_from_bend_vector(F1.bend_vector())) == 256
+    assert discriminant(qform_from_bend_vector(F0.bend_vector())) == 0
+    assert discriminant(qform_from_bend_vector(F7D.bend_vector())) == 40 ** 4
 
 
 def test_definiteness():
-    assert is_positive_definite(qform_from_bend_vector(bend_vector(F1)))
-    assert is_positive_definite(qform_from_bend_vector(bend_vector(F7D)))
-    assert not is_positive_definite(qform_from_bend_vector(bend_vector(F0)))
+    assert is_positive_definite(qform_from_bend_vector(F1.bend_vector()))
+    assert is_positive_definite(qform_from_bend_vector(F7D.bend_vector()))
+    assert not is_positive_definite(qform_from_bend_vector(F0.bend_vector()))
 
 
 def test_degenerate_eigenvectors_annihilated():
-    q = qform_from_bend_vector(bend_vector(F0))
+    q = qform_from_bend_vector(F0.bend_vector())
     m = q.matrix()
     for eta in degenerate_eigenvectors(q):
         image = tuple(sum(m[i][j] * eta[j] for j in range(4)) for i in range(4))
@@ -329,18 +329,18 @@ def test_degenerate_eigenvectors_annihilated():
 
 
 def test_isotropy_examples():
-    q1 = qform_from_bend_vector(bend_vector(F1))
+    q1 = qform_from_bend_vector(F1.bend_vector())
     ok, wit = is_isotropic_at(q1, 2)
     assert ok and q1.value(wit) % 2 == 0 and any(wit)
     ok, wit = is_isotropic_at(q1, 7)
     assert ok and q1.value(wit) % 7 == 0 and any(wit)
-    q7 = qform_from_bend_vector(bend_vector(F7D))
+    q7 = qform_from_bend_vector(F7D.bend_vector())
     ok, wit = is_isotropic_at(q7, 5)
     assert ok and q7.value(wit) % 5 == 0 and any(wit)
 
 
 def test_isotropy_rejects_composites():
-    q = qform_from_bend_vector(bend_vector(F1))
+    q = qform_from_bend_vector(F1.bend_vector())
     with pytest.raises(ValueError):
         is_isotropic_at(q, 6)
     with pytest.raises(ValueError):
@@ -351,7 +351,7 @@ def test_isotropy_agrees_with_exhaustive_oracle():
     primes = [p for p in range(2, 100)
               if all(p % d for d in range(2, p))]
     for f in (F0, F1, F7D):
-        q = qform_from_bend_vector(bend_vector(f))
+        q = qform_from_bend_vector(f.bend_vector())
         for p in primes:
             fast, wit = is_isotropic_at(q, p)
             slow, _ = exhaustive_isotropy(q, p)
@@ -360,21 +360,21 @@ def test_isotropy_agrees_with_exhaustive_oracle():
 
 
 def test_local_classes_examples():
-    q1 = qform_from_bend_vector(bend_vector(F1))
+    q1 = qform_from_bend_vector(F1.bend_vector())
     assert local_classes(q1) == {0}  # (b + b2) mod 4 = 0
-    q0 = qform_from_bend_vector(bend_vector(F0))
+    q0 = qform_from_bend_vector(F0.bend_vector())
     assert local_classes(q0) == {0}
     assert len(local_classes(q1, restricted=False)) > 1
 
 
 def test_bend_from_xi_identity_cases():
-    bv = bend_vector(F1)
+    bv = F1.bend_vector()
     assert bend_from_xi(bv, GI(1), GI(0)) == int(bv[1])
     assert bend_from_xi(bv, I, GI(0)) == int(bv[1])
 
 
 def test_bend_from_xi_rejects_bad_congruence():
-    bv = bend_vector(F1)
+    bv = F1.bend_vector()
     with pytest.raises(ValueError):
         bend_from_xi(bv, GI(2), GI(0))
     with pytest.raises(ValueError):
@@ -398,7 +398,7 @@ def test_bend_from_xi_matches_matrix_route_exhaustively():
                         pairs.append((alpha, beta))
     assert len(pairs) > 300
     for f in (F1, F7D):
-        bv = bend_vector(f)
+        bv = f.bend_vector()
         bcol = [int(x) for x in bv]
         for alpha, beta in pairs:
             a5 = stabilizer_from_spin(complete_pair(alpha, beta))
@@ -412,8 +412,8 @@ def test_obstruction_soundness_random_orbit():
                      for m in APOLLONIAN.values()])
     rng = np.random.default_rng(2718)
     for f in (F0, F1, F7D):
-        bv = np.array(bend_vector(f).as_ints(), dtype=np.int64)
-        eps = epsilon_of(bend_vector(f).bends8()).epsilon
+        bv = np.array(f.bend_vector().as_ints(), dtype=np.int64)
+        eps = epsilon_of(f.bend_vector().bends8()).epsilon
         forbidden = (-eps) % 4
         for _ in range(10_000):
             v = bv.copy()

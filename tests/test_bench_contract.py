@@ -15,8 +15,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from orthoplex import packing  # noqa: E402
+from orthoplex import arithmetic, cli, config, inversive, packing  # noqa: E402
 from orthoplex.config import F1  # noqa: E402
+from orthoplex.ring import QSqrt2  # noqa: E402
 
 
 def test_tracer_binds_every_target():
@@ -53,3 +54,16 @@ def test_traced_orbit_bend_vectors_never_calls_generate():
     totals = t.layer_totals()
     assert totals["packing.orbit_bend_vectors.vectors"] == len(vectors) > 0
     assert totals["packing.generate.calls"] == 0
+
+
+def test_names_the_benchmark_reads_stay_bound():
+    # benchmarks/test_benchmark.py checks these bindings; Tier-1 does not run it
+    assert cli.check_gramian is config.check_gramian
+    assert packing.epsilon_of is arithmetic.epsilon_of
+    assert packing.sphere_from_coords is inversive.sphere_from_coords
+    assert QSqrt2(packing.DEFAULT_BOX) > 0  # workloads.start_fit's box
+    t = tracer.Tracer()
+    with t.installed([workloads]):
+        code, _ = workloads.run_cli(["obstruct", "--seed", "builtin:F1"])
+    assert code == 0
+    assert t.layer_totals()["arithmetic.epsilon_of.calls"] == 1

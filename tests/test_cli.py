@@ -6,9 +6,10 @@ import jsonschema
 import pytest
 
 from orthoplex import cli
-from orthoplex.config import F1, FMatrix
+from orthoplex.config import F1
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import Coord5
+from orthoplex.inversive import mobius_rescale
+from orthoplex.ring import SQRT2
 
 from conftest import EXPECTED_BENDS_P1
 
@@ -170,26 +171,57 @@ def assert_one_error_line(err):
 
 
 def test_malformed_seed_file(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(["bends", "--seed", str(bad), "--cap", "5"], capsys)
-    assert code == 2 and "not valid JSON" in err
+    # every subcommand that takes a seed, on every kind of bad seed: one
+    # error line and exit 2, except where the seed is valid for the command
+    def f1_rescaled(t):
+        return json.dumps(F1.apply_mobius(mobius_rescale(t)).to_json_dict())
 
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"rows": [["1"] * 5] * 5}))
-    code, _, err = run_cli(["bends", "--seed", str(wrong), "--cap", "5"],
-                           capsys)
-    assert code == 2 and "Gramian" in err
-
-    # F1 dilated by 2 passes the identities but has half-integral bends
-    dilated = tmp_path / "dilated.json"
-    dilated.write_text(json.dumps(FMatrix(tuple(
-        Coord5(r.a * 2, r.b * Fraction(1, 2), r.xhat, r.yhat, r.zhat)
-        for r in F1.rows)).to_json_dict()))
-    code, _, err = run_cli(["bends", "--seed", str(dilated), "--cap", "5"],
-                           capsys)
-    assert code == 2 and "integral seed" in err
-    assert_one_error_line(err)
+    zero_den = F1.to_json_dict()
+    zero_den["rows"][0][0] = "1/0"
+    seeds = {
+        "bad_json": ("{not json", "not valid JSON"),
+        "deep_nesting": ("[" * 10 ** 5 + "]" * 10 ** 5, "not valid JSON"),
+        "json_list": ("[1, 2]", "not a valid FMatrix"),
+        "int_entries": (json.dumps({"rows": [[1, 2, 3, 4, 5]] * 5}),
+                        "not a valid FMatrix"),
+        "zero_denominator": (json.dumps(zero_den), "zero denominator"),
+        "missing": (None, "unknown seed"),
+        "identity_failure": (json.dumps({"rows": [["1"] * 5] * 5}),
+                             "Gramian"),
+        # F1 dilated by 2 passes the identities but has half-integral bends
+        "half_integral": (f1_rescaled(2), "integral"),
+        "irrational": (f1_rescaled(SQRT2), None),
+        # F1 shrunk by 2: integral bends 4 4 6 -2 6, not primitive
+        "doubled": (f1_rescaled(Fraction(1, 2)), "primitive"),
+    }
+    commands = {
+        "bends": ["bends", "--cap", "20"],
+        "scan": ["scan", "--cap", "20"],
+        "gen": ["gen", "--cap", "20"],
+        "gen_geom": ["gen", "--cap", "8", "--mode", "geom"],
+        "export": ["export", "--cap", "8"],
+        "obstruct": ["obstruct"],
+        "qform": ["qform"],
+        "verify": ["verify"],
+    }
+    not_invalid = {("verify", "identity_failure"): 1,
+                   ("qform", "doubled"): 0,
+                   ("verify", "half_integral"): 0,
+                   ("verify", "irrational"): 0,
+                   ("verify", "doubled"): 0}
+    for seed, (text, message) in seeds.items():
+        path = tmp_path / f"{seed}.json"
+        if text is not None:
+            path.write_text(text)
+        for command, argv in commands.items():
+            code, _, err = run_cli(argv + ["--seed", str(path)], capsys)
+            want = not_invalid.get((command, seed), 2)
+            assert code == want, (command, seed, err)
+            if want == 2:
+                assert_one_error_line(err)
+                assert message is None or message in err, (command, seed)
+            else:
+                assert err == "", (command, seed)
 
     # F1 under 37 generators: b_mu passes 2**59, past the int64 headroom
     deep = apply(element("Apollonian", (list(APOLLONIAN) * 3)[:37]), F1)
@@ -252,6 +284,12 @@ def test_gen_out_file(tmp_path, capsys, schema):
     assert code == 0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, schema)
+    for argv in (["gen", "--out", str(tmp_path / "no" / "x.json")],
+                 ["export", "--out", str(tmp_path / "no" / "x.csv")]):
+        code, out, err = run_cli(argv + ["--seed", "builtin:F1", "--cap", "8"],
+                                 capsys)
+        assert code == 2 and out == "" and "cannot write" in err
+        assert_one_error_line(err)
 
 
 def test_export_csv_stdout(capsys, schema):

@@ -5,10 +5,9 @@ from fractions import Fraction
 import pytest
 
 from orthoplex.config import (
-    BendVector, DECOMPRESSION, F0, F1, F7D, FMatrix, antipodal, bend_vector,
-    check_dgm, check_gramian, check_orthoplex_graph, complete_quadruple,
-    descartes_form, f_from_v, is_integral, is_primitive, qsqrt2_sqrt,
-    solve_b_mu, v_from_f,
+    BendVector, DECOMPRESSION, F0, F1, F7D, FMatrix, antipodal, check_dgm,
+    check_gramian, check_orthoplex_graph, complete_quadruple, descartes_form,
+    f_from_v, qsqrt2_sqrt, solve_b_mu, v_from_f,
 )
 from orthoplex.groups import element, apply
 from orthoplex.inversive import mobius_inversion, mobius_rescale, mobius_translate
@@ -136,19 +135,19 @@ def test_complete_quadruple_rejects_non_tangent():
 
 
 def test_bend_vectors_of_builtins():
-    bv = bend_vector(F7D)
+    bv = F7D.bend_vector()
     assert bv == BendVector((20, 12, 17, -7, 21))
-    assert is_integral(bv) and is_primitive(bv)
-    bv0 = bend_vector(F0)
+    assert bv.is_integral() and bv.is_primitive()
+    bv0 = F0.bend_vector()
     assert bv0 == BendVector((0, 0, 1, 1, 1))
-    assert is_primitive(bv0)
+    assert bv0.is_primitive()
     doubled = BendVector((0, 0, 2, 2, 2))
-    assert is_integral(doubled) and not is_primitive(doubled)
+    assert doubled.is_integral() and not doubled.is_primitive()
 
 
 def test_bends8_complements():
-    assert bend_vector(F1).bends8() == (2, 2, 3, -1, 4, 4, 3, 7)
-    assert bend_vector(F7D).bends8() == (20, 12, 17, -7, 22, 30, 25, 49)
+    assert F1.bend_vector().bends8() == (2, 2, 3, -1, 4, 4, 3, 7)
+    assert F7D.bend_vector().bends8() == (20, 12, 17, -7, 22, 30, 25, 49)
 
 
 def test_equivariance_under_mobius():
@@ -166,7 +165,7 @@ def test_orbit_parity_and_square_discriminant(rng):
     for f in (F0, F1, F7D):
         for _ in range(40):
             g = random_apollonian_word(rng)
-            bv = bend_vector(apply(g, f)).as_ints()
+            bv = apply(g, f).bend_vector().as_ints()
             s = sum(bv[:4])
             assert s % 2 == 0
             disc = s * s - 2 * sum(b * b for b in bv[:4])

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
-from orthoplex.config import F0, F1, F7D, BendVector, bend_vector
+from orthoplex.config import F0, F1, F7D, BendVector
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
@@ -132,7 +132,7 @@ def test_geometric_pairs_never_intersect():
 
 def test_stabilizer_bends_appear_in_orbit():
     # bends produced by the congruence parametrization land in the BFS set
-    bv = bend_vector(F1)
+    bv = F1.bend_vector()
     r = random.Random(23)
     produced = []
     while len(produced) < 25:
@@ -154,7 +154,7 @@ def reference_walk(seed, cap, budget):
     level: the oracle for the numpy engine.  Returns the visited states and
     whether the frontier emptied before a level took the count past the
     budget."""
-    b = bend_vector(seed).as_ints()
+    b = seed.bend_vector().as_ints()
     lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
     start = lo + (b[4],)
     visited = {start}
@@ -216,7 +216,7 @@ def test_integer_engine_matches_reference_on_images():
     for name in sorted(SEEDS):
         for _ in range(3):
             image = apply(random_apollonian_word(r, 4), SEEDS[name])
-            own_min = min(int(b) for b in bend_vector(image).bends8())
+            own_min = min(int(b) for b in image.bend_vector().bends8())
             for budget in (10 ** 7, 5):
                 rep = assert_matches_reference(image, max(own_min, 68), budget)
                 went_below += rep.bends[0] < own_min
@@ -228,8 +228,8 @@ def test_int64_headroom_guard():
     # 2**59, inside int64 but past the engine's headroom
     word = (list(APOLLONIAN) * 3)[:37]
     image = apply(element("Apollonian", word), F1)
-    bends = [int(b) for b in bend_vector(image).bends8()]
-    assert max(abs(int(b)) for b in bend_vector(image)) < 2 ** 63
+    bends = [int(b) for b in image.bend_vector().bends8()]
+    assert max(abs(int(b)) for b in image.bend_vector()) < 2 ** 63
     cap = min(bends)
     with pytest.raises(WalkInputError, match="int64 headroom"):
         generate(PackingSpec(seed=image, bend_cap=cap, budget=5))
