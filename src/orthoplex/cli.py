@@ -324,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=int, required=True,
                            help="largest bend to enumerate")
-            p.add_argument("--budget", type=int, default=None,
-                           help="node budget (default 10^7; "
-                                "env ORTHOPLEX_BUDGET overrides)")
+            p.add_argument("--budget", type=int, default=None, metavar="N",
+                           help="walk at most N states, in whole BFS levels "
+                                "(default 10^7, or env ORTHOPLEX_BUDGET)")
 
     p = sub.add_parser("gen", help="enumerate a packing orbit")
     add_seed(p)

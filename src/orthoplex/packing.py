@@ -1,39 +1,42 @@
 """Orbit enumeration for orthoplicial Apollonian packings.
 
-Two walks share one expansion rule (view a configuration as four
-disjoint pairs; a move keeps one sphere per pair and replaces the rest):
+One numpy kernel walks both modes.  A state is four disjoint pairs of
+spheres and their antipodal row mu, stored as an int64 array (5, C): one
+sphere of each pair, then mu, each row C channels with the bend first.
+A move keeps one sphere per pair and replaces the rest.  Bend mode and
+``orbit_bend_vectors`` walk bends alone (C = 1).  Geometric mode walks
+C = 9 channels, the bend and then the rational and sqrt2 parts of a,
+xhat, yhat and zhat, all times the seed's common denominator; it also
+needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.
+``QSqrt2`` arithmetic only scales its seed in and its spheres out.
 
-* the integer engine walks bend vectors with numpy and canonicalizes
-  states under the symmetry group, which keeps the visited set small; it
-  serves bend mode and ``orbit_bend_vectors``;
-* geometric mode walks exact F-matrices and keeps every sphere.
-
-Both walks dedupe states on exact values: the integer engine on the bytes
-of its int64 rows, geometric mode on the exact coordinate rows themselves
-(each sphere paired with its disjoint partner, the pairs unordered), so
-two distinct states never share a key.
+The canonical form of a state takes the lexicographically smaller row of
+each pair, the four in lexicographic order, then mu (for C = 1, a plain
+minimum and sort).  States are deduped on the exact bytes of that form,
+so two distinct states never share a key.
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
 agreement, monotone closure, and reproduction of the frozen reference bend
 sets rather than assuming a termination argument.
 
-Both walks are single-threaded and breadth-first.  The integer engine
-checks the budget after each whole level, and the order of its states
-within a level is unspecified; that is safe because every reported
-quantity is an aggregate over whole levels.  Reports emit every
-collection sorted, so identical runs are byte-identical.
+The walk is single-threaded and breadth-first.  It takes whole levels
+while its state count stays within the budget, never the level that
+would pass it, so a report's ``states`` never exceeds its budget.  Order
+within a level is unspecified; every reported quantity is an aggregate
+over whole levels, and reports emit every collection sorted.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -47,10 +50,12 @@ DEFAULT_BOX = Fraction(10)
 
 _MASKS = tuple(itertools.product((0, 1), repeat=4))
 
-# Largest |value| a frontier of the integer engine may hold.  A move
-# computes 2*(sum(kept) - mu) - kept with |kept| <= 3*|value|, which stays
-# within 29*|value| < 2**63.
+# Largest |value| a frontier may hold.  A move computes 2*(sum(kept) - mu)
+# - kept with |kept| <= 3*|value|, within 29*|value| < 2**63.  The 10x box
+# test squares up to 11 times a new sphere's largest value, which 29 * 2**22
+# keeps below 11 * 2**27, and (11 * 2**27)**2 < 2**63.
 _INT64_HEADROOM = 2 ** 58
+_BOX_HEADROOM = 2 ** 22
 
 
 class WalkInputError(ValueError):
@@ -156,10 +161,19 @@ def generate(spec: PackingSpec) -> PackingReport:
     if spec.bend_cap < low:
         raise CapBelowSeedError(
             f"cap {spec.bend_cap} is below every seed bend (min {low})")
-    if spec.mode == "bend":
-        report = _generate_bend(spec, bv, obs.epsilon)
-    else:
-        report = _generate_geom(spec, obs.epsilon)
+    walk = _generate_bend if spec.mode == "bend" else _generate_geom
+    mult, zero_spheres, states, exhausted, spheres = walk(spec)
+    report = PackingReport(
+        mode=spec.mode,
+        bend_cap=spec.bend_cap,
+        bends=tuple(sorted(mult)),
+        bend_multiplicity=dict(sorted(mult.items())),
+        classification=_classify(zero_spheres, {b for b in mult if b < 0}),
+        epsilon=obs.epsilon,
+        frontier_exhausted=exhausted,
+        states=states,
+        spheres=spheres,
+    )
     bad = [b for b in report.bends if not obs.admits(b)]
     if bad:
         raise RuntimeError(f"local obstruction violated by bends {bad}")
@@ -167,177 +181,163 @@ def generate(spec: PackingSpec) -> PackingReport:
 
 
 # ---------------------------------------------------------------------------
-# integer engine: bend mode and orbit_bend_vectors
+# the walk: one move kernel, one BFS loop, one budget rule
 
 
-def _check_headroom(peak: int):
-    if peak > _INT64_HEADROOM:
+def _check_headroom(peak: int, headroom: int):
+    if peak > headroom:
         raise WalkInputError(
-            f"bend walk value of magnitude {peak} exceeds the int64 headroom "
-            f"2**{_INT64_HEADROOM.bit_length() - 1}")
+            f"walk value of magnitude {peak} exceeds the int64 headroom "
+            f"2**{headroom.bit_length() - 1}")
 
 
-def _children(states: np.ndarray, cap: int) -> Iterator[np.ndarray]:
+def _lex_sorted(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` (n, C), each run of ``size`` in lexicographic order."""
+    run = np.repeat(np.arange(len(rows) // size), size)
+    return rows[np.lexsort(tuple(rows.T[::-1]) + (run,))]
+
+
+def _canonical(kept: List[np.ndarray], mu: np.ndarray) -> np.ndarray:
+    """The canonical states, shape (m, 5, C), of the configurations with
+    antipodal rows ``mu`` that hold the sphere rows ``kept[k]``, one of
+    each pair, each (m, C)."""
+    two_mu = 2 * mu
+    if mu.shape[1] == 1:  # the same form, several times faster
+        lo = np.sort(np.concatenate([np.minimum(k, two_mu - k) for k in kept],
+                                    axis=1), axis=1)
+        return np.concatenate([lo, mu], axis=1)[:, :, None]
+    m, width = mu.shape
+    pairs = np.stack([x for k in kept for x in (k, two_mu - k)], axis=1)
+    lo = _lex_sorted(pairs.reshape(-1, width), 2)[::2]
+    return np.concatenate([_lex_sorted(lo, 4).reshape(m, 4, width),
+                           mu[:, None]], axis=1)
+
+
+def _nonneg(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Whether x + y*sqrt2 >= 0, exactly."""
+    return (((x >= 0) & ((y >= 0) | (x * x >= 2 * y * y)))
+            | ((y >= 0) & (2 * y * y >= x * x)))
+
+
+def _in_box(v: np.ndarray, box: Fraction) -> np.ndarray:
+    """Which geometric rows (n, 9) are planes or have |xhat|, |yhat| and
+    |zhat| at most ``box`` times |b|."""
+    bound = box.numerator * np.abs(v[:, 0])
+    ok = np.ones(len(v), dtype=bool)
+    for c in (3, 5, 7):
+        p, q = box.denominator * v[:, c], box.denominator * v[:, c + 1]
+        ok &= _nonneg(bound - p, -q) & _nonneg(bound + p, q)
+    return ok | (v[:, 0] == 0)
+
+
+def _children(states: np.ndarray, cap: int,
+              box: Optional[Fraction] = None) -> Iterator[np.ndarray]:
     """The canonical states of the moves from ``states`` that create a bend
-    at most ``cap``, one C-contiguous batch per move pattern, duplicates
-    included."""
+    at most ``cap`` and, with a ``box``, a sphere that passes the box test;
+    one C-contiguous batch per move pattern, duplicates included."""
     L = [states[:, k] for k in range(4)]
     M = states[:, 4]
     H = [2 * M - x for x in L]
     for mask in _MASKS:
         kept = [H[k] if mask[k] else L[k] for k in range(4)]
         mu2 = kept[0] + kept[1] + kept[2] + kept[3] - M
-        # the new bends are 2*mu2 - kept; the smallest pairs with max(kept)
-        ok = 2 * mu2 - np.maximum(np.maximum(kept[0], kept[1]),
-                                  np.maximum(kept[2], kept[3])) <= cap
+        # the new spheres are 2*mu2 - kept; the smallest bend pairs with
+        # the largest kept one
+        top = np.maximum(np.maximum(kept[0], kept[1]),
+                         np.maximum(kept[2], kept[3]))
+        ok = (2 * mu2 - top)[:, 0] <= cap
+        if box is not None:
+            ok &= np.logical_or.reduce([_in_box(2 * mu2 - k, box)
+                                        for k in kept])
         if ok.any():
-            mu2 = mu2[ok]
-            lo = np.stack([np.minimum(k, 2 * mu2 - k)
-                           for k in (x[ok] for x in kept)], axis=1)
-            yield np.concatenate([np.sort(lo, axis=1), mu2[:, None]], axis=1)
+            # compress: boolean indexing of (n, 1) arrays is slower
+            yield _canonical([k.compress(ok, axis=0) for k in kept],
+                             mu2.compress(ok, axis=0))
 
 
-def _bend_levels(bv: BendVector, cap: int) -> Iterator[np.ndarray]:
-    """The frontiers of the capped bend walk from ``bv``, one BFS level at
-    a time, the start state first.
-
-    A state is an int64 row: the smaller bend of each pair, sorted, then
-    b_mu.  States are deduped on their exact 40-byte images, so distinct
-    states never collide.  Row order within a level is unspecified."""
-    b = bv.as_ints()
-    start = sorted(min(x, 2 * b[4] - x) for x in b[:4]) + [b[4]]
-    _check_headroom(max(map(abs, start)))
-    frontier = np.array([start], dtype=np.int64)
+def _walk(rows: List[List[int]], cap: int, budget: int,
+          reduce: Callable[[np.ndarray], object],
+          box: Optional[Fraction] = None) -> Tuple[list, int, bool]:
+    """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
+    (C ints each): ``reduce`` of each whole level taken while the state
+    count stays within ``budget``, that count, and whether the frontier
+    emptied.  Row order within a level is unspecified."""
+    headroom = _INT64_HEADROOM if box is None else _BOX_HEADROOM
+    _check_headroom(max(abs(x) for row in rows for x in row), headroom)
+    seed = np.array(rows, dtype=np.int64)
+    frontier = _canonical([seed[k:k + 1] for k in range(4)], seed[4:])
+    key = f"V{frontier[0].nbytes}"
     visited = {frontier.tobytes()}
+    out, taken = [], 0
     while True:
-        yield frontier
+        if taken + len(frontier) > budget:
+            return out, taken, False
+        taken += len(frontier)
+        out.append(reduce(frontier))
         fresh = []
-        for batch in _children(frontier, cap):
-            keys = set(batch.view("V40").ravel().tolist())
+        for kids in _children(frontier, cap, box):
+            keys = set(kids.reshape(len(kids), -1).view(key).ravel().tolist())
             keys -= visited
             visited |= keys
             fresh += keys
         if not fresh:
-            return
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, 5)
-        _check_headroom(int(np.abs(frontier).max()))
+            return out, taken, True
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(
+            -1, *seed.shape)
+        _check_headroom(int(np.abs(frontier).max()), headroom)
 
 
-def _generate_bend(spec: PackingSpec, bv: BendVector, eps: int) -> PackingReport:
+def _generate_bend(spec: PackingSpec):
+    """Bend multiplicities, zero-sphere count, states, exhaustion and no
+    spheres of a bend-mode walk."""
     cap = spec.bend_cap
     mult: Counter = Counter()
-    max_zero_in_state = 0
-    nstates = 0
-    exhausted = True
-    for states in _bend_levels(bv, cap):
-        nstates += len(states)
-        los = states[:, :4]
-        all8 = np.concatenate([los, 2 * states[:, 4:5] - los], axis=1)
-        max_zero_in_state = max(max_zero_in_state,
-                                int((all8 == 0).sum(axis=1).max()))
+
+    def level(states: np.ndarray) -> int:
+        los = states[:, :4, 0]
+        all8 = np.concatenate([los, 2 * states[:, 4:, 0] - los], axis=1)
         vals = all8.ravel()
         uniq, counts = np.unique(vals[vals <= cap], return_counts=True)
         mult.update(dict(zip(uniq.tolist(), counts.tolist())))
-        if nstates > spec.budget:
-            exhausted = False
-            break
+        return int((all8 == 0).sum(axis=1).max())
 
-    bends = tuple(sorted(mult))
-    negatives = {v for v in bends if v < 0}
-    zero_spheres = max_zero_in_state if 0 in mult else 0
-    return PackingReport(
-        mode="bend",
-        bend_cap=cap,
-        bends=bends,
-        bend_multiplicity=dict(sorted(mult.items())),
-        classification=_classify(zero_spheres, negatives),
-        epsilon=eps,
-        frontier_exhausted=exhausted,
-        states=nstates,
-    )
+    rows = [[b] for b in spec.seed.bend_vector().as_ints()]
+    zeros, states, exhausted = _walk(rows, cap, spec.budget, level)
+    return mult, max(zeros) if 0 in mult else 0, states, exhausted, None
 
 
-# ---------------------------------------------------------------------------
-# geometric mode
+def _channels(v: Coord5) -> List[int]:
+    """The geometric channels of an integral row: b, then the rational and
+    sqrt2 parts of a, xhat, yhat and zhat."""
+    return [int(v.b.rat)] + [int(p) for c in (v.a, v.xhat, v.yhat, v.zhat)
+                             for p in (c.rat, c.irr)]
 
 
-def _in_box(v: Coord5) -> bool:
-    if not v.b:
-        return True
-    bound = QSqrt2(DEFAULT_BOX) * abs(v.b)
-    return all(abs(c) <= bound for c in (v.xhat, v.yhat, v.zhat))
+def _generate_geom(spec: PackingSpec):
+    """Distinct-sphere bend multiplicities, zero-sphere count, states,
+    exhaustion and the spheres at most the cap of a geometric walk."""
+    rows = spec.seed.rows
+    d = math.lcm(*(x.denominator for v in rows for c in v
+                   for x in (c.rat, c.irr)))
+    cap = spec.bend_cap * d
+    found = []
 
+    def level(states: np.ndarray):
+        los = states[:, :4]
+        all8 = np.concatenate([los, 2 * states[:, 4:] - los], axis=1)
+        all8 = all8.reshape(-1, all8.shape[2])
+        found.append(np.compress(all8[:, 0] <= cap, all8, axis=0))
 
-def _generate_geom(spec: PackingSpec, eps: int) -> PackingReport:
-    cap = QSqrt2(spec.bend_cap)
-    visited: Set[Tuple] = set()
-    spheres: Set[Coord5] = set()
-
-    def visit(rows, his, mu) -> bool:
-        """Record a state unless it was seen; ``his[k]`` is the disjoint
-        partner 2*mu - rows[k] of ``rows[k]``."""
-        key = (frozenset(map(frozenset, zip(rows, his))), mu)
-        if key in visited:
-            return False
-        visited.add(key)
-        spheres.update(rows)
-        spheres.update(his)
-        return True
-
-    seed_rows = spec.seed.rows[:4]
-    seed_mu = spec.seed.antipodal_row
-    seed_his = [seed_mu.scale(2) - r for r in seed_rows]
-    visit(seed_rows, seed_his, seed_mu)
-    frontier = [(seed_rows, seed_his, seed_mu)]
-    nstates = 1
-    exhausted = True
-    while frontier:
-        nxt = []
-        for rows, his, mu in frontier:
-            for mask in _MASKS:
-                kept = [his[k] if mask[k] else rows[k] for k in range(4)]
-                mu2 = kept[0] + kept[1] + kept[2] + kept[3] - mu
-                two_mu2 = mu2.scale(2)
-                new = [two_mu2 - c for c in kept]
-                if all(n.b > cap for n in new):
-                    continue
-                if not any(_in_box(n) for n in new):
-                    continue
-                if not visit(kept, new, mu2):
-                    continue
-                nxt.append((kept, new, mu2))
-                nstates += 1
-                if nstates > spec.budget:
-                    exhausted = False
-                    break
-            if not exhausted:
-                break
-        if not exhausted:
-            break
-        frontier = nxt
-
-    kept_spheres = tuple(sorted((v for v in spheres if v.b <= cap),
-                                key=Coord5.serialize))
-    bend_list = []
-    for v in kept_spheres:
-        b = v.b
-        if b.irr != 0 or b.rat.denominator != 1:
-            raise ValueError("non-integral bend in geometric orbit")
-        bend_list.append(int(b.rat))
-    mult = Counter(bend_list)
-    zero_spheres = mult.get(0, 0)
-    negatives = {b for b in mult if b < 0}
-    return PackingReport(
-        mode="geom",
-        bend_cap=spec.bend_cap,
-        bends=tuple(sorted(mult)),
-        bend_multiplicity=dict(sorted(mult.items())),
-        classification=_classify(zero_spheres, negatives),
-        epsilon=eps,
-        frontier_exhausted=exhausted,
-        states=nstates,
-        spheres=kept_spheres,
-    )
+    _, states, exhausted = _walk([_channels(v.scale(d)) for v in rows], cap,
+                                 spec.budget, level, DEFAULT_BOX)
+    distinct = np.unique(np.concatenate(found), axis=0).tolist()
+    spheres = tuple(sorted(
+        (Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2), QSqrt2(y, y2),
+                QSqrt2(z, z2)).scale(Fraction(1, d))
+         for b, a, a2, x, x2, y, y2, z, z2 in distinct),
+        key=Coord5.serialize))
+    mult = Counter(row[0] // d for row in distinct)
+    return mult, mult.get(0, 0), states, exhausted, spheres
 
 
 def orbit_bend_vectors(seed: FMatrix, cap: int,
@@ -346,13 +346,10 @@ def orbit_bend_vectors(seed: FMatrix, cap: int,
     visits at this cap, sorted.  Each is a genuine bend vector of a
     reordered configuration: picking one sphere per disjoint pair is
     admissible."""
-    levels = []
-    count = 0
-    for states in _bend_levels(_seed_bend_vector(seed), cap):
-        count += len(states)
-        if count > budget:
-            raise RuntimeError("node budget exceeded")
-        levels.append(states)
+    rows = [[b] for b in _seed_bend_vector(seed).as_ints()]
+    levels, _, exhausted = _walk(rows, cap, budget, lambda s: s[:, :, 0])
+    if not exhausted:
+        raise RuntimeError("node budget exceeded")
     states = np.concatenate(levels)
     states = states[np.lexsort(states.T[::-1])]
     return [BendVector(s) for s in states.tolist()]
@@ -373,6 +370,9 @@ def missing_admissible(report: PackingReport, up_to: int,
                          f"{report.bend_cap}")
     if start is None:
         start = report.min_bend
+    if start > up_to:
+        raise ValueError(f"scan range [{start}, {up_to}] is empty: its start "
+                         "exceeds its end")
     have = set(report.bends)
     obs = report.obstruction()
     return [n for n in range(start, up_to + 1)

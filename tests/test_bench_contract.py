@@ -7,12 +7,15 @@ other test passes.  These tests import the benchmark's tracer and workload
 modules, change nothing in them, and check the rules they rely on.
 """
 
+import json
 import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS))
 
+import run  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 from orthoplex import arithmetic, cli, config, inversive, packing  # noqa: E402
@@ -67,3 +70,18 @@ def test_names_the_benchmark_reads_stay_bound():
         code, _ = workloads.run_cli(["obstruct", "--seed", "builtin:F1"])
     assert code == 0
     assert t.layer_totals()["arithmetic.epsilon_of.calls"] == 1
+
+
+def test_traced_geom_export_records_every_predicted_layer(tmp_path):
+    # a layer the program stops reaching makes a traced benchmark run exit 1
+    reference = json.loads((BENCHMARKS / "reference.json").read_text())
+    workload = workloads.GeomExport(0, tmp_path, reference)
+    ledger = workloads.Ledger()
+    t = tracer.Tracer()
+    with t.installed([workloads]):
+        workload.job(ledger, workloads.Clock(sample=False))
+    assert ledger.failed == 0, ledger.errors
+    # per_layer, not the tracer, fills these two
+    filled_later = ("cli.output_bytes", "packing.generate.peak_alloc_mb")
+    assert [e for e in run.wiring_errors("geom-export", t.layer_totals())
+            if not e.startswith(filled_later)] == []

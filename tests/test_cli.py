@@ -8,7 +8,7 @@ import pytest
 from orthoplex import cli
 from orthoplex.config import F1
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import mobius_rescale
+from orthoplex.inversive import mobius_rescale, mobius_translate
 from orthoplex.ring import SQRT2
 
 from conftest import EXPECTED_BENDS_P1
@@ -234,6 +234,23 @@ def test_malformed_seed_file(tmp_path, capsys):
     assert_one_error_line(err)
 
 
+def test_geometric_int64_headroom_guard(tmp_path, capsys):
+    # F1 moved by 2**27: coordinates near 2**54, past the geometric walk's
+    # headroom, while the bends, and so the bend walk, stay F1's
+    far = F1.apply_mobius(mobius_translate(2 ** 27, 0, 0))
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far.to_json_dict()))
+    for argv in (["export", "--cap", "8"],
+                 ["gen", "--cap", "8", "--mode", "geom"]):
+        code, out, err = run_cli(argv + ["--seed", str(path)], capsys)
+        assert code == 2 and out == "" and "int64 headroom" in err, argv
+        assert_one_error_line(err)
+    code, out, err = run_cli(["bends", "--seed", str(path), "--cap", "20"],
+                             capsys)
+    assert code == 0 and err == ""
+    assert out.split() == [str(b) for b in EXPECTED_BENDS_P1 if b <= 20]
+
+
 def test_seed_file_round_trip(tmp_path, capsys, schema, fmatrix_schema):
     seed = tmp_path / "f1.json"
     doc = F1.to_json_dict()
@@ -246,9 +263,18 @@ def test_seed_file_round_trip(tmp_path, capsys, schema, fmatrix_schema):
 
 
 def test_cap_below_seed_is_validation_error(capsys):
-    code, _, err = run_cli(["bends", "--seed", "builtin:F7d", "--cap", "-8"],
-                           capsys)
-    assert code == 2 and "below every seed bend" in err
+    cases = (
+        (["bends", "--seed", "builtin:F7d", "--cap", "-8"],
+         "below every seed bend"),
+        (["scan", "--seed", "builtin:F1", "--cap", "20", "--from", "30",
+          "--to", "10"], "start exceeds its end"),
+        (["scan", "--seed", "builtin:F1", "--cap", "20", "--to", "21"],
+         "exceeds the report cap"),
+    )
+    for argv, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and message in err, argv
+        assert_one_error_line(err)
 
 
 def test_budget_exhaustion_exit_code(capsys):
@@ -256,6 +282,11 @@ def test_budget_exhaustion_exit_code(capsys):
         ["bends", "--seed", "builtin:F1", "--cap", "68", "--budget", "3"],
         capsys)
     assert code == 3
+    # whole levels only: the start fits in a budget of 1, its children not
+    code, out, _ = run_cli(["gen", "--seed", "builtin:F1", "--cap", "5",
+                            "--mode", "geom", "--budget", "1", "--json"],
+                           capsys)
+    assert code == 3 and json.loads(out)["report"]["states"] == 1
     for budget in ("0", "-1"):
         code, out, err = run_cli(["bends", "--seed", "builtin:F1", "--cap",
                                   "68", "--budget", budget], capsys)

@@ -1,19 +1,23 @@
 import itertools
 import json
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
 from orthoplex.config import F0, F1, F7D, BendVector
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import classify_pair
+from orthoplex.inversive import Coord5, classify_pair, mobius_translate
 from orthoplex.packing import (
-    CapBelowSeedError, PackingReport, PackingSpec, WalkInputError,
-    export_scene, generate, missing_admissible, orbit_bend_vectors,
-    resolve_budget,
+    DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
+    WalkInputError, _canonical, _channels, _children, export_scene, generate,
+    missing_admissible, orbit_bend_vectors, resolve_budget,
 )
+from orthoplex.ring import QSqrt2
 
 from conftest import (
     EXPECTED_BENDS_P0, EXPECTED_BENDS_P1, EXPECTED_BENDS_P7D, EXPECTED_BLOCK_P7D,
@@ -93,7 +97,7 @@ def test_cap_below_seed_rejected():
 def test_budget_marks_unexhausted():
     rep = run(F1, 68, budget=5)
     assert not rep.frontier_exhausted
-    assert rep.states <= 5 + 16 * 5  # one level of slack past the budget
+    assert rep.states <= 5
 
 
 def test_mode_agreement_cap_30():
@@ -151,9 +155,9 @@ def test_stabilizer_bends_appear_in_orbit():
 
 def reference_walk(seed, cap, budget):
     """The capped bend walk in pure Python on unbounded ints, level by
-    level: the oracle for the numpy engine.  Returns the visited states and
-    whether the frontier emptied before a level took the count past the
-    budget."""
+    level: the oracle for the numpy engine.  Returns the states of the
+    levels taken and whether the frontier emptied.  The walk takes whole
+    levels while its state count stays within the budget."""
     b = seed.bend_vector().as_ints()
     lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
     start = lo + (b[4],)
@@ -175,9 +179,9 @@ def reference_walk(seed, cap, budget):
                     continue
                 visited.add(child)
                 nxt.append(child)
+        if len(visited) > budget:
+            return visited.difference(nxt), False
         frontier = nxt
-        if frontier and len(visited) > budget:
-            return visited, False
     return visited, True
 
 
@@ -235,6 +239,120 @@ def test_int64_headroom_guard():
         generate(PackingSpec(seed=image, bend_cap=cap, budget=5))
     with pytest.raises(WalkInputError, match="int64 headroom"):
         orbit_bend_vectors(image, cap, budget=5)
+
+
+def in_box(v):
+    if not v.b:
+        return True
+    bound = QSqrt2(DEFAULT_BOX) * abs(v.b)
+    return all(abs(c) <= bound for c in (v.xhat, v.yhat, v.zhat))
+
+
+def reference_geom_walk(seed, cap, budget):
+    """The geometric walk in exact ``Coord5`` arithmetic, level by level:
+    the oracle for the integer kernel.  A state is keyed on its unordered
+    disjoint pairs and mu.  Returns the number of states taken, the
+    spheres of those states at most the cap, and whether the frontier
+    emptied.  The walk takes whole levels while its state count stays
+    within the budget."""
+    def key(rows, his, mu):
+        return frozenset(map(frozenset, zip(rows, his))), mu
+
+    rows = seed.rows[:4]
+    mu = seed.antipodal_row
+    his = [mu.scale(2) - r for r in rows]
+    visited = {key(rows, his, mu)}
+    spheres = set(rows) | set(his)
+    frontier = [(rows, his, mu)]
+    taken, exhausted = 1, True
+    while frontier:
+        nxt = []
+        for rows, his, mu in frontier:
+            for mask in itertools.product((0, 1), repeat=4):
+                kept = [his[k] if mask[k] else rows[k] for k in range(4)]
+                # the cap test needs only the bends, so it goes first
+                b2 = kept[0].b + kept[1].b + kept[2].b + kept[3].b - mu.b
+                if all(b2 * 2 - c.b > cap for c in kept):
+                    continue
+                mu2 = kept[0] + kept[1] + kept[2] + kept[3] - mu
+                new = [mu2.scale(2) - c for c in kept]
+                if not any(map(in_box, new)):
+                    continue
+                child = key(kept, new, mu2)
+                if child not in visited:
+                    visited.add(child)
+                    nxt.append((kept, new, mu2))
+        if taken + len(nxt) > budget:
+            exhausted = False
+            break
+        taken += len(nxt)
+        for kept, new, _ in nxt:
+            spheres.update(kept + new)
+        frontier = nxt
+    return taken, {v for v in spheres if v.b <= cap}, exhausted
+
+
+def reference_classification(mult):
+    negatives = [b for b in mult if b < 0]
+    zeros = mult.get(0, 0)
+    if len(negatives) == 1 and zeros == 0:
+        return "bounded"
+    if not negatives and zeros in (1, 2):
+        return "planar" if zeros == 2 else "half_space"
+    return "full_space"
+
+
+# F1 moved by (1/2, 1/3, 0): entries with denominator 36
+F1_D36 = F1.apply_mobius(mobius_translate(Fraction(1, 2), Fraction(1, 3), 0))
+
+
+def geom_oracle_cases():
+    cases = [(F0, 2), (F1, 8), (F1, 12), (F7D, 40), (F1_D36, 12)]
+    r = random.Random(2026)
+    for name, cap in (("F0", 2), ("F1", 8), ("F7d", 40)):
+        for _ in range(3):
+            image = apply(random_apollonian_word(r, 4), SEEDS[name])
+            own_min = min(int(b) for b in image.bend_vector().bends8())
+            cases.append((image, max(own_min, cap)))
+    return cases
+
+
+def test_geometric_walk_matches_reference():
+    for seed, cap in geom_oracle_cases():
+        for budget in (10 ** 7, 5):
+            states, spheres, exhausted = reference_geom_walk(seed, cap, budget)
+            mult = Counter(int(v.b.rat) for v in spheres)
+            rep = generate(PackingSpec(seed=seed, bend_cap=cap, mode="geom",
+                                       budget=budget))
+            assert rep.states == states <= budget
+            assert rep.spheres == tuple(sorted(spheres, key=Coord5.serialize))
+            assert rep.bend_multiplicity == dict(mult)
+            assert rep.classification == reference_classification(mult)
+            assert rep.frontier_exhausted == exhausted
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS) + ["F1_D36"])
+def test_kernel_moves_are_the_apollonian_generators(name):
+    # with nothing pruned, the 16 children of a start are the canonical
+    # forms of its 16 images under the verified generator tables
+    seed = SEEDS.get(name, F1_D36)
+    d = math.lcm(*(x.denominator for v in seed.rows for c in v
+                   for x in (c.rat, c.irr)))
+    cap = 2 ** 40
+
+    def start(f, geom):
+        rows = np.array([_channels(v.scale(d)) for v in f.rows] if geom
+                        else [[int(b)] for b in f.bend_vector()])
+        return _canonical([rows[k:k + 1] for k in range(4)], rows[4:])
+
+    for geom in (False, True):
+        children = np.concatenate(list(_children(start(seed, geom), cap)))
+        images = np.concatenate([
+            start(apply(element("Apollonian", (g,)), seed), geom)
+            for g in APOLLONIAN])
+        assert len(children) == len(APOLLONIAN) == 16
+        assert (sorted(map(tuple, children.reshape(16, -1).tolist()))
+                == sorted(map(tuple, images.reshape(16, -1).tolist())))
 
 
 def test_orbit_bend_vectors_all_satisfy_cone():
