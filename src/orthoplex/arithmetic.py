@@ -6,6 +6,7 @@ isotropy, and local residue classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -476,6 +477,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
+def _square_roots(p: int) -> Dict[int, int]:
+    """Each square mod p mapped to its smallest root.  The cache keeps at
+    most 64 tables of (p+1)/2 entries each, so however large ``qform
+    --pmax`` is, at most 32*(pmax+1) entries stay alive."""
+    squares: Dict[int, int] = {}
+    for u in range(p):
+        squares.setdefault(u * u % p, u)
+    return squares
+
+
 def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Whether the form has a nonzero root mod p, with a verified witness.
 
@@ -516,9 +528,7 @@ def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int
     # p coprime to 2b: A*Q = |A*alpha + (B+iC)*beta|^2 + b^2*|beta|^2, so
     # pick beta = 1 and solve u1^2 + u2^2 = -b^2 (mod p) by table lookup
     m = (q.A * q.D - q.B * q.B - q.C * q.C) % p  # = b^2 mod p
-    squares: Dict[int, int] = {}
-    for u in range(p):
-        squares.setdefault(u * u % p, u)
+    squares = _square_roots(p)
     for u1 in range(p):
         rhs = (-m - u1 * u1) % p
         if rhs in squares:
@@ -580,15 +590,19 @@ def bend_from_xi(bv: BendVector, alpha: GaussianInt, beta: GaussianInt) -> int:
     return direct
 
 
+# (a1^2+a2^2, a1b1+a2b2, a2b1-a1b2, b1^2+b2^2) mod 4 over eta mod 4, with
+# and without the congruence lattice restriction
+_ETA_MONOMIALS = {restricted: frozenset(
+    ((a1 * a1 + a2 * a2) % 4, (a1 * b1 + a2 * b2) % 4,
+     (a2 * b1 - a1 * b2) % 4, (b1 * b1 + b2 * b2) % 4)
+    for a1, a2, b1, b2 in itertools.product(range(4), repeat=4)
+    if not restricted or ((a1 + a2) % 2 and b1 % 2 == 0 and b2 % 2 == 0))
+    for restricted in (False, True)}
+
+
 def local_classes(q: QuaternaryForm, restricted: bool = True) -> Set[int]:
     """Values of the form mod 4 over eta mod 4; with the congruence
     lattice restriction this collapses to the single class b + b2."""
-    out: Set[int] = set()
-    for a1, a2, b1, b2 in itertools.product(range(4), repeat=4):
-        if restricted:
-            if (a1 + a2) % 2 == 0:
-                continue
-            if b1 % 2 or b2 % 2:
-                continue
-        out.add(q.value((a1, a2, b1, b2)) % 4)
-    return out
+    a, b, c, d = q.A, 2 * q.B, 2 * q.C, q.D
+    return {(a * m1 + b * m2 + c * m3 + d * m4) % 4
+            for m1, m2, m3, m4 in _ETA_MONOMIALS[bool(restricted)]}

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .config import FMatrix, Q_F
-from .inversive import Coord5
 from .ring import Mat
 
 IntRows = Tuple[Tuple[int, ...], ...]
@@ -213,8 +212,12 @@ def _fold_word(table: str, word: Sequence[str]) -> IntRows:
 
 
 def element(table: str, word: Iterable[str]) -> GroupElement:
+    """The element of ``word``, folded once: the matrix is the fold itself,
+    so ``__post_init__``'s re-fold and comparison are skipped."""
     word = tuple(word)
-    return GroupElement(table, word, _fold_word(table, word))
+    g = object.__new__(GroupElement)  # frozen: fill __dict__ directly
+    g.__dict__.update(table=table, word=word, matrix=_fold_word(table, word))
+    return g
 
 
 def verify_orthogonality(g: GroupElement) -> Tuple[bool, int]:
@@ -267,18 +270,8 @@ def verify_apollonian_relations() -> List[Tuple[str, bool]]:
 
 
 def apply(g: GroupElement, f: FMatrix) -> FMatrix:
-    """Left action on an F-matrix by integer row combination."""
-    rows = []
-    for i in range(5):
-        acc = None
-        for j in range(5):
-            c = g.matrix[i][j]
-            if c == 0:
-                continue
-            term = f.rows[j] if c == 1 else f.rows[j].scale(c)
-            acc = term if acc is None else acc + term
-        rows.append(acc if acc is not None else Coord5.of(0, 0, 0, 0, 0))
-    return FMatrix(tuple(rows))
+    """Left action on an F-matrix: the exact product g F."""
+    return FMatrix.from_mat(g.mat() * f.mat())
 
 
 def rederive_apollonian() -> Dict[str, IntRows]:

@@ -7,8 +7,10 @@ never fed back into any computation.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction, "QSqrt2"]
@@ -279,19 +281,35 @@ class Mat:
         k = QSqrt2.coerce(k)
         return Mat(self.rows, self.cols, [k * e for e in self.entries])
 
+    def _scaled(self):
+        """(D, X, Y): D the lcm of every entry denominator, and entry k
+        equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints."""
+        es = self.entries
+        d = math.lcm(*(e.rat.denominator for e in es),
+                     *(e.irr.denominator for e in es))
+        return (d, [e.rat.numerator * (d // e.rat.denominator) for e in es],
+                [e.irr.numerator * (d // e.irr.denominator) for e in es])
+
     def __mul__(self, other):
+        """Exact product on scaled integers: with A = (X + Y sqrt2)/Da and
+        B = (U + V sqrt2)/Db, entry (i, j) is (r + s sqrt2)/(Da Db), where
+        r = sum XU + 2 YV and s = sum XV + YU over Python ints, so nothing
+        overflows and each result entry is reduced once."""
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
             n, m, p = self.rows, self.cols, other.cols
-            a, b = self.entries, other.entries
+            da, x, y = self._scaled()
+            db, u, v = other._scaled()
+            d = da * db
+            cols = [(u[j::p], v[j::p]) for j in range(p)]
             out = []
             for i in range(n):
-                for j in range(p):
-                    acc = ZERO
-                    for k in range(m):
-                        acc = acc + a[i * m + k] * b[k * p + j]
-                    out.append(acc)
+                xi, yi = x[i * m:(i + 1) * m], y[i * m:(i + 1) * m]
+                for uj, vj in cols:
+                    r = sum(map(mul, xi, uj)) + 2 * sum(map(mul, yi, vj))
+                    s = sum(map(mul, xi, vj)) + sum(map(mul, yi, uj))
+                    out.append(QSqrt2(Fraction(r, d), Fraction(s, d)))
             return Mat(n, p, out)
         return self.scale(other)
 

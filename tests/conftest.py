@@ -6,12 +6,13 @@ equality.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from orthoplex import config
 from orthoplex.groups import APOLLONIAN, element
-from orthoplex.inversive import Coord5
+from orthoplex.inversive import Coord5, mobius_translate
 from orthoplex.ring import QSqrt2
 
 # all n = 0,1,2 (mod 4) from 0 through 68
@@ -51,6 +52,10 @@ EXPECTED_MOD8_REPRESENTATIVES = (
 
 SEEDS = {"F0": config.F0, "F1": config.F1, "F7d": config.F7D}
 
+# a seed whose F-matrix has denominators up to 36
+F1_D36 = config.F1.apply_mobius(
+    mobius_translate(Fraction(1, 2), Fraction(1, 3), 0))
+
 
 @pytest.fixture
 def rng():
@@ -58,7 +63,6 @@ def rng():
 
 
 def random_qsqrt2(r: random.Random, span: int = 20) -> QSqrt2:
-    from fractions import Fraction
     return QSqrt2(
         Fraction(r.randint(-span, span), r.randint(1, 6)),
         Fraction(r.randint(-span, span), r.randint(1, 6)),

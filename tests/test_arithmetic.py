@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from orthoplex import arithmetic
 from orthoplex.arithmetic import (
     DISCRIMINANT_FORM, GaussianInt, MobiusPair,
     ObstructionClass, QuaternaryForm, bend_from_xi, complete_pair,
@@ -13,6 +15,7 @@ from orthoplex.arithmetic import (
 )
 from orthoplex.config import BendVector, F0, F1, F7D
 from orthoplex.groups import APOLLONIAN, element
+from orthoplex.packing import orbit_bend_vectors
 from orthoplex.ring import Mat
 
 from conftest import EXPECTED_MOD8_REPRESENTATIVES
@@ -365,6 +368,77 @@ def test_local_classes_examples():
     q0 = qform_from_bend_vector(F0.bend_vector())
     assert local_classes(q0) == {0}
     assert len(local_classes(q1, restricted=False)) > 1
+
+
+def reference_isotropic_at(q: QuaternaryForm, p: int):
+    """is_isotropic_at as it was before the square-root table was cached:
+    the table is rebuilt on every call."""
+    def ok(w):
+        w = tuple(x % p for x in w)
+        return w if any(w) and q.value(w) % p == 0 else None
+
+    if p == 2:
+        for w in ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
+                  (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)):
+            got = ok(w)
+            if got:
+                return True, got
+        return False, None
+    if q.A % p == 0:
+        return True, (1, 0, 0, 0)
+    if q.shift_b % p == 0:
+        for w in degenerate_eigenvectors(q):
+            got = ok(w)
+            if got:
+                return True, got
+        got = ok((1, 0, 0, 0))
+        return (True, got) if got else (False, None)
+    m = (q.A * q.D - q.B * q.B - q.C * q.C) % p
+    squares = {}
+    for u in range(p):
+        squares.setdefault(u * u % p, u)
+    for u1 in range(p):
+        rhs = (-m - u1 * u1) % p
+        if rhs in squares:
+            u2 = squares[rhs]
+            ainv = pow(q.A, -1, p)
+            got = ok(((u1 - q.B) * ainv % p, (u2 - q.C) * ainv % p, 1, 0))
+            if got:
+                return True, got
+    return False, None
+
+
+def reference_local_classes(q: QuaternaryForm, restricted: bool = True):
+    """local_classes as it was before the eta monomials were precomputed."""
+    out = set()
+    for a1, a2, b1, b2 in itertools.product(range(4), repeat=4):
+        if restricted:
+            if (a1 + a2) % 2 == 0:
+                continue
+            if b1 % 2 or b2 % 2:
+                continue
+        out.add(q.value((a1, a2, b1, b2)) % 4)
+    return out
+
+
+def oracle_forms():
+    vectors = (orbit_bend_vectors(F1, 68) + orbit_bend_vectors(F7D, 68)
+               + [bv for bv in orbit_bend_vectors(F0, 68) if bv[0] == 0])
+    return [qform_from_bend_vector(bv) for bv in vectors]
+
+
+def test_isotropy_and_local_classes_match_references():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    forms = oracle_forms()
+    assert len(forms) == 400 + 28 + 142
+    for q in forms:
+        for p in primes:
+            assert is_isotropic_at(q, p) == reference_isotropic_at(q, p), (q, p)
+        for restricted in (True, False):
+            assert (local_classes(q, restricted)
+                    == reference_local_classes(q, restricted)), q
+    # the square-root tables are cached, with a bound
+    assert arithmetic._square_roots.cache_info().maxsize is not None
 
 
 def test_bend_from_xi_identity_cases():

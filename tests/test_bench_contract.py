@@ -72,10 +72,11 @@ def test_names_the_benchmark_reads_stay_bound():
     assert t.layer_totals()["arithmetic.epsilon_of.calls"] == 1
 
 
-def test_traced_geom_export_records_every_predicted_layer(tmp_path):
-    # a layer the program stops reaching makes a traced benchmark run exit 1
+def traced_job_wiring_errors(workload_class, tmp_path):
+    """Wiring errors of one traced job of a workload built from seed 0.  A
+    layer the program stops reaching makes a traced benchmark run exit 1."""
     reference = json.loads((BENCHMARKS / "reference.json").read_text())
-    workload = workloads.GeomExport(0, tmp_path, reference)
+    workload = workload_class(0, tmp_path, reference)
     ledger = workloads.Ledger()
     t = tracer.Tracer()
     with t.installed([workloads]):
@@ -83,5 +84,17 @@ def test_traced_geom_export_records_every_predicted_layer(tmp_path):
     assert ledger.failed == 0, ledger.errors
     # per_layer, not the tracer, fills these two
     filled_later = ("cli.output_bytes", "packing.generate.peak_alloc_mb")
-    assert [e for e in run.wiring_errors("geom-export", t.layer_totals())
-            if not e.startswith(filled_later)] == []
+    return [e for e in run.wiring_errors(workload_class.name, t.layer_totals())
+            if not e.startswith(filled_later)]
+
+
+def test_traced_geom_export_records_every_predicted_layer(tmp_path):
+    assert traced_job_wiring_errors(workloads.GeomExport, tmp_path) == []
+
+
+def test_traced_bend_walk_records_every_predicted_layer(tmp_path):
+    assert traced_job_wiring_errors(workloads.BendWalk, tmp_path) == []
+
+
+def test_traced_exact_verify_records_every_predicted_layer(tmp_path):
+    assert traced_job_wiring_errors(workloads.ExactVerify, tmp_path) == []

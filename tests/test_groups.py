@@ -1,15 +1,16 @@
 import pytest
 
-from orthoplex.config import F0, F1, F7D, check_dgm, check_gramian
+from orthoplex.config import F0, F1, F7D, FMatrix, check_dgm, check_gramian
 from orthoplex.groups import (
     APOLLONIAN, DUAL_APOLLONIAN, PLATONIC, STABILIZER1_ORIENTED,
     STABILIZER1_FACTORS, GroupElement, apply, element, generators,
     ordering_element, rederive_apollonian, verify_apollonian_relations,
     verify_orthogonality, verify_platonic_relations, _imul,
 )
+from orthoplex.inversive import Coord5
 from orthoplex.ring import SQRT2
 
-from conftest import coord5, random_apollonian_word
+from conftest import F1_D36, SEEDS, coord5, random_apollonian_word
 
 
 def test_table_sizes():
@@ -139,6 +140,44 @@ def test_provenance_enforced():
     assert good.matrix == _imul(APOLLONIAN["S1234"], APOLLONIAN["S5678"])
     with pytest.raises(ValueError):
         GroupElement("Apollonian", ("S1234",), APOLLONIAN["S5678"])
+
+
+def test_direct_construction_still_refolds():
+    # element() folds once; direct construction and __mul__ still check
+    word = ("S1234", "S5234", "S1634")
+    g = element("Apollonian", word)
+    assert g == GroupElement("Apollonian", word, g.matrix)
+    wrong = element("Apollonian", word[:2]).matrix
+    with pytest.raises(ValueError):
+        GroupElement("Apollonian", word, wrong)
+    with pytest.raises(ValueError):
+        GroupElement("Apollonian", word[::-1], g.matrix)
+    assert (element("Apollonian", word[:1]) * element("Apollonian", word[1:])
+            == g)
+
+
+def reference_apply(g: GroupElement, f: FMatrix) -> FMatrix:
+    """The left action as an integer combination of Coord5 rows, as apply()
+    computed it before it became the exact product g F."""
+    rows = []
+    for i in range(5):
+        acc = None
+        for j in range(5):
+            c = g.matrix[i][j]
+            if c == 0:
+                continue
+            term = f.rows[j] if c == 1 else f.rows[j].scale(c)
+            acc = term if acc is None else acc + term
+        rows.append(acc if acc is not None else Coord5.of(0, 0, 0, 0, 0))
+    return FMatrix(tuple(rows))
+
+
+@pytest.mark.parametrize("name", sorted(SEEDS) + ["F1_D36"])
+def test_apply_matches_row_combination(rng, name):
+    f = SEEDS.get(name, F1_D36)
+    for _ in range(40):
+        g = random_apollonian_word(rng, max_len=12)
+        assert apply(g, f) == reference_apply(g, f), g.word
 
 
 def test_element_multiplication_concatenates_words():

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
 from orthoplex.config import F0, F1, F7D, BendVector
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import Coord5, classify_pair, mobius_translate
+from orthoplex.inversive import Coord5, classify_pair
 from orthoplex.packing import (
     DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
@@ -21,7 +20,7 @@ from orthoplex.ring import QSqrt2
 
 from conftest import (
     EXPECTED_BENDS_P0, EXPECTED_BENDS_P1, EXPECTED_BENDS_P7D, EXPECTED_BLOCK_P7D,
-    SEEDS, random_apollonian_word,
+    F1_D36, SEEDS, random_apollonian_word,
 )
 
 
@@ -303,7 +302,6 @@ def reference_classification(mult):
 
 
 # F1 moved by (1/2, 1/3, 0): entries with denominator 36
-F1_D36 = F1.apply_mobius(mobius_translate(Fraction(1, 2), Fraction(1, 3), 0))
 
 
 def geom_oracle_cases():

@@ -120,6 +120,67 @@ def test_shape_errors():
         a.det()
 
 
+def naive_matmul(a: Mat, b: Mat) -> Mat:
+    """The product as a per-entry QSqrt2 accumulation: the loop Mat.__mul__
+    ran before it moved to scaled integers, kept as its oracle."""
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    n, m, p = a.rows, a.cols, b.cols
+    out = []
+    for i in range(n):
+        for j in range(p):
+            acc = QSqrt2(0)
+            for k in range(m):
+                acc = acc + a.entries[i * m + k] * b.entries[k * p + j]
+            out.append(acc)
+    return Mat(n, p, out)
+
+
+# (n, m, p): 5x5 by 5x5, 5x5 by 5x1, 1x5 by 5x5, 8x5 by 5x5, 1x5 by 5x1
+PRODUCT_SHAPES = ((5, 5, 5), (5, 5, 1), (1, 5, 5), (8, 5, 5), (1, 5, 1))
+MIXED = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(7, 12),
+                         Fraction(-5, 6), Fraction(0), Fraction(1),
+                         Fraction(-3)])
+
+
+@st.composite
+def mat_pairs(draw):
+    n, m, p = draw(st.sampled_from(PRODUCT_SHAPES))
+    entry = st.builds(lambda k, r, s: QSqrt2(k * r, k * s),
+                      st.integers(-9, 9), MIXED, MIXED)
+    a = Mat(n, m, draw(st.lists(entry, min_size=n * m, max_size=n * m)))
+    b = Mat(m, p, draw(st.lists(entry, min_size=m * p, max_size=m * p)))
+    return a, b
+
+
+@given(mat_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_naive_accumulation(ab):
+    a, b = ab
+    assert a * b == naive_matmul(a, b)
+
+
+def test_product_edge_cases():
+    r = random.Random(36)
+    mixed = [QSqrt2(Fraction(1, 2), Fraction(1, 3)),
+             QSqrt2(Fraction(7, 12), Fraction(-7, 12)),
+             QSqrt2(Fraction(-1, 3), 1)]
+    for n, m, p in PRODUCT_SHAPES:
+        a = Mat(n, m, [r.choice(mixed) for _ in range(n * m)])
+        b = Mat(m, p, [r.choice(mixed) for _ in range(m * p)])
+        zero_a, zero_b = Mat(n, m, [0] * (n * m)), Mat(m, p, [0] * (m * p))
+        assert a * b == naive_matmul(a, b)
+        assert a * zero_b == Mat(n, p, [0] * (n * p)) == zero_a * b
+        assert Mat.identity(n) * a == a == a * Mat.identity(m)
+    for a in (Q_SIGMA, Q_WILKER, Q_F, G_SIGMA_F, J_CHANGE_OF_VARIABLES):
+        for b in (Q_SIGMA, Q_F, J_CHANGE_OF_VARIABLES):
+            assert a * b == naive_matmul(a, b)
+    with pytest.raises(ValueError):
+        Mat(5, 1, [1] * 5) * Mat(5, 5, [1] * 25)
+    with pytest.raises(ValueError):
+        naive_matmul(Mat(5, 1, [1] * 5), Mat(5, 5, [1] * 25))
+
+
 def test_serialization_forms():
     cases = {
         QSqrt2(0): "0",
