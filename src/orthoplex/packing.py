@@ -317,8 +317,7 @@ def _generate_geom(spec: PackingSpec):
     """Distinct-sphere bend multiplicities, zero-sphere count, states,
     exhaustion and the spheres at most the cap of a geometric walk."""
     rows = spec.seed.rows
-    d = math.lcm(*(x.denominator for v in rows for c in v
-                   for x in (c.rat, c.irr)))
+    d = math.lcm(*(c.xyd[2] for v in rows for c in v))
     cap = spec.bend_cap * d
     found = []
 
@@ -330,7 +329,10 @@ def _generate_geom(spec: PackingSpec):
 
     _, states, exhausted = _walk([_channels(v.scale(d)) for v in rows], cap,
                                  spec.budget, level, DEFAULT_BOX)
-    distinct = np.unique(np.concatenate(found), axis=0).tolist()
+    # a set, not np.unique(axis=0): that imports numpy.ma on its first call,
+    # and benchmarks/workloads.Clock calls np.unique from a SIGALRM handler,
+    # which recurses to a RecursionError if it lands inside that import
+    distinct = set(map(tuple, np.concatenate(found).tolist()))
     spheres = tuple(sorted(
         (Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2), QSqrt2(y, y2),
                 QSqrt2(z, z2)).scale(Fraction(1, d))
@@ -383,14 +385,12 @@ def missing_admissible(report: PackingReport, up_to: int,
 # scene export
 
 
-def _sphere_record(v: Coord5) -> dict:
+def _sphere_record(v: Coord5, text: Tuple[str, ...]) -> dict:
+    """The record of sphere ``v``, whose ``serialize()`` is ``text``."""
     s = sphere_from_coords(v)
-    rec = {
-        "kind": "sphere" if isinstance(s, HonestSphere) else "plane",
-        "a": str(v.a), "b": str(v.b),
-        "xhat": str(v.xhat), "yhat": str(v.yhat), "zhat": str(v.zhat),
-        "bend": v.b.to_float(),
-    }
+    rec = dict(zip(Coord5._fields, text),
+               kind="sphere" if isinstance(s, HonestSphere) else "plane",
+               bend=v.b.to_float())
     if isinstance(s, HonestSphere):
         rec.update(
             cx=s.center[0].to_float(), cy=s.center[1].to_float(),
@@ -415,8 +415,8 @@ def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
         raise ValueError("scene export needs a geometric-mode report")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
-    ordered = sorted(report.spheres, key=lambda v: (abs(v.b), v.serialize()))
-    records = [_sphere_record(v) for v in ordered]
+    keyed = sorted((abs(v.b), v.serialize(), v) for v in report.spheres)
+    records = [_sphere_record(v, text) for _, text, v in keyed]
     if fmt == "json":
         doc = {"schema_version": 1, "spheres": records}
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()

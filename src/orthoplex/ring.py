@@ -1,8 +1,9 @@
 """Exact arithmetic over Q and Q[sqrt 2], plus small dense matrices.
 
-Every value is immutable; all operations return new objects. Nothing in
-this module ever rounds: floats exist only through ``to_float`` and are
-never fed back into any computation.
+An element of Q[sqrt 2] is one reduced integer triple, so every operation
+runs on Python ints and nothing here ever rounds.  Every value is immutable;
+all operations return new objects.  Floats exist only through ``to_float``
+and are never fed back into any computation: the constructor refuses them.
 """
 
 from __future__ import annotations
@@ -24,73 +25,94 @@ class SingularMatrixError(ZeroDivisionError):
         self.matrix = matrix
 
 
-class QSqrt2:
-    """An element a + b*sqrt(2) with a, b rational.
+def _reduced(x: int, y: int, d: int) -> "QSqrt2":
+    """The QSqrt2 (x + y*sqrt2)/d, for ints x, y and d > 0."""
+    g = math.gcd(x, y, d)
+    q = object.__new__(QSqrt2)
+    object.__setattr__(q, "xyd", (x, y, d) if g == 1 else (x // g, y // g, d // g))
+    return q
 
-    Equality and hashing are component-wise; ordering uses the real
-    embedding (sqrt(2) > 0) and is exact.
+
+class QSqrt2:
+    """(x + y*sqrt(2))/d, held as the one triple ``xyd`` of ints with d > 0
+    and gcd(x, y, d) = 1; ``rat`` and ``irr`` are x/d and y/d.  A rational
+    value equals and hashes as its ``Fraction``; ordering uses the real
+    embedding (sqrt(2) > 0) and is exact.  Parts must be int or Fraction.
     """
 
-    __slots__ = ("rat", "irr")
+    __slots__ = ("xyd",)
 
     def __init__(self, rat=0, irr=0):
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "irr", Fraction(irr))
+        if not (isinstance(rat, (int, Fraction)) and isinstance(irr, (int, Fraction))):
+            raise TypeError(f"cannot make QSqrt2 of {rat!r} and {irr!r}")
+        b, e = rat.denominator, irr.denominator
+        d = math.lcm(b, e)  # reduced parts make the triple reduced
+        object.__setattr__(self, "xyd", (rat.numerator * (d // b),
+                                         irr.numerator * (d // e), d))
 
     def __setattr__(self, *a):
         raise AttributeError("QSqrt2 is immutable")
 
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.xyd[0], self.xyd[2])
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self.xyd[1], self.xyd[2])
+
     @classmethod
     def coerce(cls, x: Scalar) -> "QSqrt2":
-        if isinstance(x, QSqrt2):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} to QSqrt2")
+        return x if isinstance(x, QSqrt2) else cls(x)
 
     def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.irr)
+        return self.xyd != (0, 0, 1)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, QSqrt2):
+            return self.xyd == other.xyd
         if isinstance(other, (int, Fraction)):
-            other = QSqrt2(other)
-        if not isinstance(other, QSqrt2):
-            return NotImplemented
-        return self.rat == other.rat and self.irr == other.irr
+            return self.xyd == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.rat, self.irr))
+        return hash(self.rat) if self.xyd[1] == 0 else hash(self.xyd)
 
     def __add__(self, other):
-        other = QSqrt2.coerce(other)
-        return QSqrt2(self.rat + other.rat, self.irr + other.irr)
+        x, y, d = self.xyd
+        u, v, e = QSqrt2.coerce(other).xyd
+        return _reduced(x * e + u * d, y * e + v * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt2(-self.rat, -self.irr)
+        x, y, d = self.xyd
+        return _reduced(-x, -y, d)
 
     def __sub__(self, other):
-        return self + (-QSqrt2.coerce(other))
+        x, y, d = self.xyd
+        u, v, e = QSqrt2.coerce(other).xyd
+        return _reduced(x * e - u * d, y * e - v * d, d * e)
 
     def __rsub__(self, other):
-        return (-self) + QSqrt2.coerce(other)
+        return QSqrt2.coerce(other) - self
 
     def __mul__(self, other):
-        other = QSqrt2.coerce(other)
-        return QSqrt2(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        x, y, d = self.xyd
+        u, v, e = QSqrt2.coerce(other).xyd
+        return _reduced(x * u + 2 * y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrt2":
-        """1/(a + b*sqrt2) = (a - b*sqrt2)/(a^2 - 2 b^2)."""
-        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        """1/((x + y*sqrt2)/d) = d(x - y*sqrt2)/(x^2 - 2 y^2)."""
+        x, y, d = self.xyd
+        norm = x * x - 2 * y * y
         if norm == 0:
             raise ZeroDivisionError("QSqrt2 division by zero")
-        return QSqrt2(self.rat / norm, -self.irr / norm)
+        if norm < 0:
+            norm, d = -norm, -d
+        return _reduced(d * x, -d * y, norm)
 
     def __truediv__(self, other):
         return self * QSqrt2.coerce(other).inverse()
@@ -100,39 +122,36 @@ class QSqrt2:
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(2) = 1.414..."""
-        a, b = self.rat, self.irr
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
+        x, y, _ = self.xyd
+        if x >= 0 and y >= 0:
+            return 1 if x or y else 0
+        if x <= 0 and y <= 0:
             return -1
-        # opposite signs: compare a^2 against 2 b^2
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if a * a < 2 * b * b else -1
+        # opposite signs: compare x^2 against 2 y^2
+        return 1 if (x * x > 2 * y * y) == (x > 0) else -1
 
     def __lt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def is_integer(self) -> bool:
-        return self.irr == 0 and self.rat.denominator == 1
+        return self.xyd[1] == 0 and self.xyd[2] == 1
 
     def to_float(self) -> float:
         """Lossy embedding; export/rendering only, never verification."""
-        return float(self.rat) + float(self.irr) * 1.4142135623730951
+        x, y, d = self.xyd
+        return x / d + (y / d) * 1.4142135623730951
 
     def __str__(self) -> str:
         return format_qsqrt2(self)
@@ -146,24 +165,19 @@ ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
 
 
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def format_qsqrt2(x: QSqrt2) -> str:
+def format_qsqrt2(q: QSqrt2) -> str:
     """Serialize as ``p/q+r/s*sqrt2`` with zero terms omitted."""
-    if x.rat == 0 and x.irr == 0:
-        return "0"
-    parts = []
-    if x.rat != 0:
-        parts.append(_frac_str(x.rat))
-    if x.irr != 0:
-        term = f"{_frac_str(abs(x.irr))}*sqrt2"
-        if not parts:
-            parts.append(term if x.irr > 0 else "-" + term)
-        else:
-            parts.append(("+" if x.irr > 0 else "-") + term)
-    return "".join(parts)
+    x, y, d = q.xyd
+    if not y:
+        return _frac_str(x, d)
+    term = f"{_frac_str(abs(y), d)}*sqrt2"
+    sign = "-" if y < 0 else "+" if x else ""
+    return (_frac_str(x, d) if x else "") + sign + term
 
 
 _TERM = re.compile(
@@ -182,31 +196,22 @@ def parse_qsqrt2(text: str) -> QSqrt2:
     s = text.strip()
     if not s:
         raise ValueError("empty QSqrt2 literal")
-    rat = Fraction(0)
-    irr = Fraction(0)
+    parts = [Fraction(0), Fraction(0)]  # rational, sqrt2
     pos = 0
-    first = True
     while pos < len(s):
         m = _TERM.match(s[pos:])
         if not m:
             raise ValueError(f"malformed QSqrt2 literal: {text!r}")
-        if not first and m.group("sign") == "":
+        if pos and m.group("sign") == "":
             raise ValueError(f"missing sign between terms in {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("bare"):
-            irr += sign
-        else:
-            try:
-                coef = Fraction(m.group("coef"))
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in {text!r}") from None
-            if m.group("star"):
-                irr += sign * coef
-            else:
-                rat += sign * coef
+        try:
+            coef = Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        parts[bool(m.group("star") or m.group("bare"))] += (
+            -coef if m.group("sign") == "-" else coef)
         pos += m.end()
-        first = False
-    return QSqrt2(rat, irr)
+    return QSqrt2(*parts)
 
 
 class Mat:
@@ -250,11 +255,7 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.shape == other.shape and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
@@ -284,11 +285,10 @@ class Mat:
     def _scaled(self):
         """(D, X, Y): D the lcm of every entry denominator, and entry k
         equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints."""
-        es = self.entries
-        d = math.lcm(*(e.rat.denominator for e in es),
-                     *(e.irr.denominator for e in es))
-        return (d, [e.rat.numerator * (d // e.rat.denominator) for e in es],
-                [e.irr.numerator * (d // e.irr.denominator) for e in es])
+        ts = [e.xyd for e in self.entries]
+        d = math.lcm(*(t[2] for t in ts))
+        return (d, [x * (d // e) for x, _, e in ts],
+                [y * (d // e) for _, y, e in ts])
 
     def __mul__(self, other):
         """Exact product on scaled integers: with A = (X + Y sqrt2)/Da and
@@ -309,7 +309,7 @@ class Mat:
                 for uj, vj in cols:
                     r = sum(map(mul, xi, uj)) + 2 * sum(map(mul, yi, vj))
                     s = sum(map(mul, xi, vj)) + sum(map(mul, yi, uj))
-                    out.append(QSqrt2(Fraction(r, d), Fraction(s, d)))
+                    out.append(_reduced(r, s, d))
             return Mat(n, p, out)
         return self.scale(other)
 
@@ -367,7 +367,7 @@ class Mat:
     def to_int_rows(self) -> list:
         if not self.is_integer():
             raise ValueError("matrix has non-integer entries")
-        return [[int(e.rat) for e in self.row(i)] for i in range(self.rows)]
+        return [[e.xyd[0] for e in self.row(i)] for i in range(self.rows)]
 
     def __str__(self) -> str:
         return "\n".join(

@@ -8,7 +8,9 @@ modules, change nothing in them, and check the rules they rely on.
 """
 
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +100,40 @@ def test_traced_bend_walk_records_every_predicted_layer(tmp_path):
 
 def test_traced_exact_verify_records_every_predicted_layer(tmp_path):
     assert traced_job_wiring_errors(workloads.ExactVerify, tmp_path) == []
+
+
+# sha256 of ``export --seed builtin:F7d --cap 40`` before the ring moved from
+# Fraction pairs to integer triples; the bytes must not move with it
+F7D_CAP40_EXPORT = {
+    "csv": "4a84a8551224e4768850805557da250683d50d13c8d4afbf3713ec1d8b360fed",
+    "json": "4338a3df00b55b8c3d62002f14cef7f3ef8a5247838866965307eb3f72fb939d",
+}
+
+
+def test_reference_outputs_keep_their_bytes():
+    # the builtin commands whose digests the benchmark checks every job
+    reference = json.loads((BENCHMARKS / "reference.json").read_text())
+    for key, want in reference["outputs"].items():
+        code, out = workloads.run_cli(key.split())
+        assert (code, workloads.digest(out)) == (0, want), key
+    for fmt, sha in F7D_CAP40_EXPORT.items():
+        code, out = workloads.run_cli(["export", "--seed", "builtin:F7d",
+                                       "--cap", "40", "--format", fmt])
+        assert (code, workloads.digest(out)["sha256"]) == (0, sha), fmt
+
+
+def test_cli_commands_leave_numpy_ma_unimported():
+    # workloads.Clock calls np.unique from a SIGALRM handler, and the first
+    # np.unique(axis=0) imports numpy.ma; when the program made that import
+    # and the signal landed inside it, the handler recursed to RecursionError
+    # and the benchmark run failed, so only the Clock may import numpy.ma
+    reference = json.loads((BENCHMARKS / "reference.json").read_text())
+    script = ("import sys, workloads\n"
+              "for argv in sys.argv[1:]:\n"
+              "    assert workloads.run_cli(argv.split())[0] == 0, argv\n"
+              "print('numpy.ma' in sys.modules)")
+    src = str(BENCHMARKS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(BENCHMARKS)]))
+    done = subprocess.run([sys.executable, "-c", script, *reference["outputs"]],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr

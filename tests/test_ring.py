@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -210,3 +211,169 @@ def test_parse_rejects_garbage():
     for bad in ("", "sqrt3", "1+", "1 1", "--2", "2**sqrt2"):
         with pytest.raises(ValueError):
             parse_qsqrt2(bad)
+
+
+class ReferenceQSqrt2:
+    """a + b*sqrt2 as a pair of ``Fraction``s: the class QSqrt2 was before
+    it moved to one reduced integer triple, kept as its oracle."""
+
+    def __init__(self, rat=0, irr=0):
+        self.rat, self.irr = Fraction(rat), Fraction(irr)
+
+    @classmethod
+    def coerce(cls, x):
+        return x if isinstance(x, ReferenceQSqrt2) else cls(x)
+
+    def __eq__(self, other):
+        other = ReferenceQSqrt2.coerce(other)
+        return self.rat == other.rat and self.irr == other.irr
+
+    def __add__(self, other):
+        other = ReferenceQSqrt2.coerce(other)
+        return ReferenceQSqrt2(self.rat + other.rat, self.irr + other.irr)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceQSqrt2(-self.rat, -self.irr)
+
+    def __sub__(self, other):
+        return self + (-ReferenceQSqrt2.coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + ReferenceQSqrt2.coerce(other)
+
+    def __mul__(self, other):
+        other = ReferenceQSqrt2.coerce(other)
+        return ReferenceQSqrt2(
+            self.rat * other.rat + 2 * self.irr * other.irr,
+            self.rat * other.irr + self.irr * other.rat,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        if norm == 0:
+            raise ZeroDivisionError("QSqrt2 division by zero")
+        return ReferenceQSqrt2(self.rat / norm, -self.irr / norm)
+
+    def __truediv__(self, other):
+        return self * ReferenceQSqrt2.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return ReferenceQSqrt2.coerce(other) * self.inverse()
+
+    def sign(self):
+        a, b = self.rat, self.irr
+        if a == 0 and b == 0:
+            return 0
+        if a >= 0 and b >= 0:
+            return 1
+        if a <= 0 and b <= 0:
+            return -1
+        if a > 0:
+            return 1 if a * a > 2 * b * b else -1
+        return 1 if a * a < 2 * b * b else -1
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def is_integer(self):
+        return self.irr == 0 and self.rat.denominator == 1
+
+    def to_float(self):
+        return float(self.rat) + float(self.irr) * 1.4142135623730951
+
+    def __str__(self):
+        def frac(f):
+            return (str(f.numerator) if f.denominator == 1
+                    else f"{f.numerator}/{f.denominator}")
+        if self.rat == 0 and self.irr == 0:
+            return "0"
+        parts = [frac(self.rat)] if self.rat != 0 else []
+        if self.irr != 0:
+            term = f"{frac(abs(self.irr))}*sqrt2"
+            sign = "-" if self.irr < 0 else "+" if parts else ""
+            parts.append(sign + term)
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"QSqrt2({self.rat!r}, {self.irr!r})"
+
+
+# mixed denominators, negatives, zeros and ints far past 64 bits
+PARTS = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+    st.integers(-2 ** 90, 2 ** 90),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 15)),
+)
+
+
+def assert_matches(q, ref):
+    x, y, d = q.xyd
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert (q.rat, q.irr) == (ref.rat, ref.irr)
+    assert (str(q), repr(q)) == (str(ref), repr(ref))
+    assert q.is_integer() == ref.is_integer() and q.sign() == ref.sign()
+    assert q.to_float().hex() == ref.to_float().hex()  # bit for bit
+
+
+@given(PARTS, PARTS, PARTS, PARTS)
+@settings(max_examples=400, deadline=None)
+def test_triple_matches_fraction_pair_reference(r1, i1, r2, i2):
+    a, b = QSqrt2(r1, i1), QSqrt2(r2, i2)
+    ra, rb = ReferenceQSqrt2(r1, i1), ReferenceQSqrt2(r2, i2)
+    pairs = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
+             (a * b, ra * rb), (-a, -ra), (abs(a), ra if ra.sign() >= 0 else -ra),
+             (a + r2, ra + r2), (r2 - a, r2 - ra), (r2 * a, r2 * ra)]
+    for q, ref in ((a, ra), (b, rb)):
+        try:
+            inv = ref.inverse()
+        except ZeroDivisionError:
+            for call in (q.inverse, lambda: a / q, lambda: r1 / q):
+                with pytest.raises(ZeroDivisionError):
+                    call()
+        else:
+            pairs += [(q.inverse(), inv), (a / q, ra * inv), (r1 / q, r1 * inv)]
+    for q, ref in pairs:
+        assert_matches(q, ref)
+    assert (a == b, a < b, a <= b, a > b, a >= b) == (
+        ra == rb, ra < rb, ra <= rb, ra > rb, ra >= rb)
+    assert (a == r2, a < r2, a >= r2) == (ra == r2, ra < r2, ra >= r2)
+    assert QSqrt2(r1) == r1 and hash(QSqrt2(r1)) == hash(r1)
+
+
+def test_equal_values_hash_equal_across_types():
+    values = [0, 1, -3, 2 ** 70, True, Fraction(1, 2), Fraction(-7, 3),
+              Fraction(4, 2), QSqrt2(0), QSqrt2(1), QSqrt2(-3), QSqrt2(2 ** 70),
+              QSqrt2(Fraction(1, 2)), QSqrt2(Fraction(-7, 3)), QSqrt2(2),
+              QSqrt2(0, 1), QSqrt2(Fraction(1, 2), 1), QSqrt2(2, 0) / 4]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    assert len({QSqrt2(1), 1, Fraction(1)}) == 1
+    assert len({QSqrt2(Fraction(1, 2)), Fraction(1, 2), QSqrt2(1) / 2}) == 1
+
+
+def test_constructor_refuses_anything_but_int_and_fraction():
+    for bad in (0.1, 1.0, "1", "1/2", None, 1j):
+        for make in (lambda: QSqrt2(bad), lambda: QSqrt2(0, bad),
+                     lambda: QSqrt2(1) + bad, lambda: QSqrt2(1) * bad,
+                     lambda: QSqrt2(1) < bad, lambda: Mat(1, 1, [bad])):
+            with pytest.raises(TypeError):
+                make()
+    assert QSqrt2(1) != 1.0 and QSqrt2(1) != "1"
