@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import BendVector
 from .groups import GroupElement, IntRows, _rows
@@ -402,7 +403,7 @@ class QuaternaryForm:
         return ((a, 0, b, -c), (0, a, c, b), (b, c, d, 0), (-c, b, 0, d))
 
     def value(self, eta: Sequence[int]) -> int:
-        a1, a2, b1, b2 = (int(x) for x in eta)
+        a1, a2, b1, b2 = map(int, eta)
         return (self.A * (a1 * a1 + a2 * a2)
                 + 2 * self.B * (a1 * b1 + a2 * b2)
                 + 2 * self.C * (a2 * b1 - a1 * b2)
@@ -427,16 +428,16 @@ def qform_from_bend_vector(bv: BendVector) -> QuaternaryForm:
 
 
 def _det4(m: Sequence[Sequence[int]]) -> int:
-    def det3(a):
-        return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
-
-    total = 0
-    for j in range(4):
-        minor = [[m[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * m[0][j] * det3(minor)
-    return total
+    """Determinant of an integer 4x4 matrix, by Laplace expansion along the
+    first two rows: six products of complementary 2x2 minors.  Generic, so
+    it checks ``discriminant`` rather than restating a closed form."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 def discriminant(q: QuaternaryForm) -> int:
@@ -445,16 +446,14 @@ def discriminant(q: QuaternaryForm) -> int:
 
 
 def is_positive_definite(q: QuaternaryForm) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive."""
     m = q.matrix()
-    minors = [
-        m[0][0],
-        _det4([[m[0][0], m[0][1], 0, 0], [m[1][0], m[1][1], 0, 0],
-               [0, 0, 1, 0], [0, 0, 0, 1]]),
-        _det4([[m[0][0], m[0][1], m[0][2], 0], [m[1][0], m[1][1], m[1][2], 0],
-               [m[2][0], m[2][1], m[2][2], 0], [0, 0, 0, 1]]),
-        _det4(m),
-    ]
-    return all(x > 0 for x in minors)
+    (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _), _ = m
+    return (a0 > 0
+            and a0 * b1 - a1 * b0 > 0
+            and (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+                 + a2 * (b0 * c1 - b1 * c0)) > 0
+            and _det4(m) > 0)
 
 
 def degenerate_eigenvectors(q: QuaternaryForm) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -462,19 +461,21 @@ def degenerate_eigenvectors(q: QuaternaryForm) -> Tuple[Tuple[int, ...], Tuple[i
     return (q.C, -q.B, 0, q.A), (-q.B, -q.C, q.A, 0)
 
 
+def primes_below(n: int) -> List[int]:
+    """The primes p < n, by the sieve of Eratosthenes."""
+    if n < 3:
+        return []
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for f in range(2, math.isqrt(n - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, n, f)))
+    return [p for p in range(n) if sieve[p]]
+
+
+@functools.lru_cache(maxsize=1024)
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -488,19 +489,39 @@ def _square_roots(p: int) -> Dict[int, int]:
     return squares
 
 
+@functools.lru_cache(maxsize=4096)
+def _two_squares(p: int, r: int) -> Tuple[int, int]:
+    """The least u1, with the least u2 for it, such that u1^2 + u2^2 = r
+    (mod p); every r has one when p is an odd prime."""
+    squares = _square_roots(p)
+    for u1 in range(p):
+        u2 = squares.get((r - u1 * u1) % p)
+        if u2 is not None:
+            return u1, u2
+
+
 def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Whether the form has a nonzero root mod p, with a verified witness.
 
-    For p dividing b the degenerate eigenvectors reduce to roots; away
-    from the discriminant a root is assembled by completing the square in
-    the hermitian picture.
+    A, B, C and D are reduced mod p once, and every witness is checked
+    against the reduced coefficients.  p = 2 tries seven fixed vectors; for
+    p dividing A the witness is (1, 0, 0, 0); for p dividing b the
+    degenerate eigenvectors reduce to roots.  Away from the discriminant
+    the root (alpha, 1) completes the square in the hermitian picture:
+    A*alpha + B + iC = u1 + i*u2 with the least u1, and the least u2 for
+    it, solving u1^2 + u2^2 = -b^2 (mod p).  Primality and those (u1, u2)
+    per (p, -b^2 mod p) sit in LRU caches of 1,024 and 4,096 entries.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    A, B, C, D = q.A % p, q.B % p, q.C % p, q.D % p
 
     def ok(w) -> Optional[Tuple[int, ...]]:
-        w = tuple(x % p for x in w)
-        if any(w) and q.value(w) % p == 0:
+        a1, a2, b1, b2 = w = tuple(x % p for x in w)
+        if any(w) and (A * (a1 * a1 + a2 * a2)
+                       + 2 * B * (a1 * b1 + a2 * b2)
+                       + 2 * C * (a2 * b1 - a1 * b2)
+                       + D * (b1 * b1 + b2 * b2)) % p == 0:
             return w
         return None
 
@@ -512,7 +533,7 @@ def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int
                 return True, got
         return False, None
 
-    if q.A % p == 0:
+    if A == 0:
         return True, (1, 0, 0, 0)
 
     if q.shift_b % p == 0:
@@ -526,41 +547,14 @@ def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int
         return (True, got) if got else (False, None)
 
     # p coprime to 2b: A*Q = |A*alpha + (B+iC)*beta|^2 + b^2*|beta|^2, so
-    # pick beta = 1 and solve u1^2 + u2^2 = -b^2 (mod p) by table lookup
-    m = (q.A * q.D - q.B * q.B - q.C * q.C) % p  # = b^2 mod p
-    squares = _square_roots(p)
-    for u1 in range(p):
-        rhs = (-m - u1 * u1) % p
-        if rhs in squares:
-            u2 = squares[rhs]
-            ainv = pow(q.A, -1, p)
-            alpha_re = (u1 - q.B) * ainv % p
-            alpha_im = (u2 - q.C) * ainv % p
-            got = ok((alpha_re, alpha_im, 1, 0))
-            if got:
-                return True, got
-    return False, None
-
-
-def exhaustive_isotropy(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """Independent oracle: scan (Z/p)^4 for a nonzero root, first hit wins."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    import numpy as np
-
-    rng = np.arange(p, dtype=np.int64)
-    a2, b1, b2 = np.meshgrid(rng, rng, rng, indexing="ij")
-    for a1 in range(p):
-        vals = (q.A * (a1 * a1 + a2 * a2)
-                + 2 * q.B * (a1 * b1 + a2 * b2)
-                + 2 * q.C * (a2 * b1 - a1 * b2)
-                + q.D * (b1 * b1 + b2 * b2)) % p
-        hit = np.argwhere(vals == 0)
-        for h in hit:
-            w = (a1, int(h[0]), int(h[1]), int(h[2]))
-            if any(w):
-                return True, w
-    return False, None
+    # pick beta = 1 and solve u1^2 + u2^2 = -b^2 (mod p)
+    u1, u2 = _two_squares(p, (B * B + C * C - A * D) % p)
+    ainv = pow(A, -1, p)
+    ar = (u1 - B) * ainv % p
+    ai = (u2 - C) * ainv % p
+    if (A * (ar * ar + ai * ai) + 2 * (B * ar + C * ai) + D) % p:
+        raise AssertionError(f"completed square is not a root mod {p}")
+    return True, (ar, ai, 1, 0)
 
 
 def bend_from_xi(bv: BendVector, alpha: GaussianInt, beta: GaussianInt) -> int:

@@ -176,6 +176,8 @@ def cmd_mod8(args) -> int:
 
 
 def cmd_qform(args) -> int:
+    if args.pmax < 2:
+        raise CliError(f"--pmax must be at least 2, got {args.pmax}")
     seed = _load_seed(args.seed)
     f = seed
     if args.ordering != 1:
@@ -189,14 +191,10 @@ def cmd_qform(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     iso = []
-    p = 2
-    while p < args.pmax:
+    for p in arithmetic.primes_below(args.pmax):
         good, wit = arithmetic.is_isotropic_at(q, p)
         iso.append({"p": p, "isotropic": good,
                     "witness": list(wit) if wit else None})
-        p += 1
-        while not arithmetic._is_prime(p):
-            p += 1
     classes = sorted(arithmetic.local_classes(q))
     doc = {"schema_version": SCHEMA_VERSION, "command": "qform",
            "seed": args.seed, "ordering": args.ordering,
@@ -210,9 +208,9 @@ def cmd_qform(args) -> int:
     lines = [
         f"bend vector {tuple(int(b) for b in bv)} (sphere {args.ordering} first)",
         f"(A, B, C, D) = ({q.A}, {q.B}, {q.C}, {q.D}), shift b = {q.shift_b}",
-        f"B^2+C^2-AD = {q.B ** 2 + q.C ** 2 - q.A * q.D}",
-        f"discriminant = {arithmetic.discriminant(q)}",
-        f"positive definite: {arithmetic.is_positive_definite(q)}",
+        f"B^2+C^2-AD = {doc['hermitian_discriminant']}",
+        f"discriminant = {doc['quaternary_discriminant']}",
+        f"positive definite: {doc['positive_definite']}",
         f"values mod 4 on the congruence lattice: {classes}",
         "isotropy below p = " + str(args.pmax) + ":",
     ]
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", type=int, default=1, metavar="K",
                    help="which sphere (1..8) to put first")
     p.add_argument("--pmax", type=int, default=100,
-                   help="isotropy table bound (default 100)")
+                   help="isotropy table bound, at least 2 (default 100)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_qform)
 

@@ -1,20 +1,24 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthoplex import arithmetic
 from orthoplex.arithmetic import (
     DISCRIMINANT_FORM, GaussianInt, MobiusPair,
     ObstructionClass, QuaternaryForm, bend_from_xi, complete_pair,
     conjugate_by_J, degenerate_eigenvectors, discriminant, enumerate_mod8,
-    epsilon_of, exhaustive_isotropy, gaussian_xgcd, in_level2_subgroup,
-    is_isotropic_at, is_positive_definite, local_classes,
+    epsilon_of, gaussian_xgcd, in_level2_subgroup,
+    is_isotropic_at, is_positive_definite, local_classes, primes_below,
     qform_from_bend_vector, spin, stabilizer_from_spin,
 )
 from orthoplex.config import BendVector, F0, F1, F7D
-from orthoplex.groups import APOLLONIAN, element
+from orthoplex.groups import APOLLONIAN, apply, element, ordering_element
 from orthoplex.packing import orbit_bend_vectors
 from orthoplex.ring import Mat
 
@@ -342,6 +346,25 @@ def test_isotropy_examples():
     assert ok and q7.value(wit) % 5 == 0 and any(wit)
 
 
+def exhaustive_isotropy(q: QuaternaryForm, p: int):
+    """Independent oracle: scan (Z/p)^4 for a nonzero root, first hit wins."""
+    if not arithmetic._is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    rng = np.arange(p, dtype=np.int64)
+    a2, b1, b2 = np.meshgrid(rng, rng, rng, indexing="ij")
+    for a1 in range(p):
+        vals = (q.A * (a1 * a1 + a2 * a2)
+                + 2 * q.B * (a1 * b1 + a2 * b2)
+                + 2 * q.C * (a2 * b1 - a1 * b2)
+                + q.D * (b1 * b1 + b2 * b2)) % p
+        hit = np.argwhere(vals == 0)
+        for h in hit:
+            w = (a1, int(h[0]), int(h[1]), int(h[2]))
+            if any(w):
+                return True, w
+    return False, None
+
+
 def test_isotropy_rejects_composites():
     q = qform_from_bend_vector(F1.bend_vector())
     with pytest.raises(ValueError):
@@ -427,18 +450,125 @@ def oracle_forms():
     return [qform_from_bend_vector(bv) for bv in vectors]
 
 
+def ordering_forms():
+    """The forms of every ordering of the builtins: unlike ``oracle_forms``
+    they have b < 0 and negative B and C, also where p divides A or b."""
+    return [qform_from_bend_vector(apply(ordering_element(k), f).bend_vector())
+            for f in (F0, F1, F7D) for k in range(1, 9)]
+
+
 def test_isotropy_and_local_classes_match_references():
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
     forms = oracle_forms()
     assert len(forms) == 400 + 28 + 142
+    forms += ordering_forms()
+    negative_branches = set()
     for q in forms:
         for p in primes:
             assert is_isotropic_at(q, p) == reference_isotropic_at(q, p), (q, p)
+            if p > 2 and min(q.B, q.C, q.shift_b) < 0:
+                if q.A % p == 0:
+                    negative_branches.add("A")
+                elif q.shift_b % p == 0:
+                    negative_branches.add("b")
         for restricted in (True, False):
             assert (local_classes(q, restricted)
                     == reference_local_classes(q, restricted)), q
-    # the square-root tables are cached, with a bound
-    assert arithmetic._square_roots.cache_info().maxsize is not None
+    assert negative_branches == {"A", "b"}
+    # the square-root tables, the (u1, u2) memo and the primality test are
+    # cached, each with a bound
+    for cached in (arithmetic._square_roots, arithmetic._two_squares,
+                   arithmetic._is_prime):
+        assert cached.cache_info().maxsize is not None, cached
+
+
+def test_primes_below():
+    for n in (-3, 0, 1, 2):
+        assert primes_below(n) == []
+    assert primes_below(3) == [2]
+    assert primes_below(12) == [2, 3, 5, 7, 11]
+    assert primes_below(1000) == [p for p in range(1000)
+                                  if arithmetic._is_prime(p)]
+
+
+def leibniz_det(m):
+    """Sum over permutations of signed products: an independent oracle."""
+    total = 0
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(4) for j in range(i + 1, 4))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer 4x4 matrices with entries up to 2^80; every third or so is
+    made singular by setting one row to a combination of two others."""
+    entries = st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+    m = [[draw(entries) for _ in range(4)] for _ in range(4)]
+    if draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(4)))[:3]
+        s, t = draw(entries), draw(entries)
+        m[k] = [s * x + t * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+@example([[1, 2, 3, 4]] * 4)
+@example([[2 ** 100, 0, 0, 0], [0, -3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]])
+def test_det4_matches_leibniz(m):
+    assert arithmetic._det4(m) == leibniz_det(m)
+    assert arithmetic._det4(tuple(map(tuple, m))) == leibniz_det(m)
+
+
+def fraction_positive_definite(m):
+    """Gaussian elimination over Fraction without pivoting: a symmetric
+    matrix is positive definite exactly when every pivot is positive."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def divisors(n: int):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+@st.composite
+def quaternary_forms(draw):
+    """(A, B, C, b) with A dividing B^2 + C^2 + b^2, D by the identity."""
+    B, C = draw(st.integers(-300, 300)), draw(st.integers(-300, 300))
+    b = draw(st.one_of(st.just(0), st.integers(-300, 300)))
+    n = B * B + C * C + b * b
+    if n:
+        A = draw(st.sampled_from(divisors(n)))
+    else:
+        A = draw(st.integers(1, 50))
+    A *= draw(st.sampled_from((1, -1)))
+    return QuaternaryForm(A=A, B=B, C=C, D=n // A, shift_b=b)
+
+
+@given(quaternary_forms())
+@settings(max_examples=300, deadline=None)
+@example(QuaternaryForm(A=-1, B=0, C=0, D=-1, shift_b=1))
+@example(QuaternaryForm(A=-5, B=3, C=4, D=-10, shift_b=5))
+@example(QuaternaryForm(A=2, B=1, C=1, D=1, shift_b=0))
+@example(QuaternaryForm(A=4, B=0, C=-4, D=5, shift_b=2))
+def test_definiteness_matches_fraction_elimination(q):
+    assert is_positive_definite(q) == fraction_positive_definite(q.matrix())
+    assert discriminant(q) == 16 * leibniz_det(q.matrix()) == (2 * q.shift_b) ** 4
 
 
 def test_bend_from_xi_identity_cases():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -270,6 +271,12 @@ def test_cap_below_seed_is_validation_error(capsys):
           "--to", "10"], "start exceeds its end"),
         (["scan", "--seed", "builtin:F1", "--cap", "20", "--to", "21"],
          "exceeds the report cap"),
+        (["qform", "--seed", "builtin:F1", "--pmax", "-3"],
+         "--pmax must be at least 2"),
+        (["qform", "--seed", "builtin:F1", "--pmax", "0"],
+         "--pmax must be at least 2"),
+        (["qform", "--seed", "builtin:F1", "--pmax", "1", "--json"],
+         "--pmax must be at least 2"),
     )
     for argv, message in cases:
         code, out, err = run_cli(argv, capsys)
@@ -337,6 +344,24 @@ def test_export_json_validates_scene(tmp_path, schema):
                     "--format", "json", "--out", str(out)])
     assert code == 0
     jsonschema.validate(json.loads(out.read_text()), schema)
+
+
+# sha256 of qform's stdout beyond the F1 rows of benchmarks/reference.json,
+# frozen from the trial-division version of the isotropy table
+QFORM_DIGESTS = {
+    ("F0", False): "d1bcdfc95c0287433b3dff7980afa77e69979a07650ca97401788ac86834e48d",
+    ("F0", True): "9b14af0cbd0949a3a87b66561981e4a1656211653ad64840f3095ef8f6dc008f",
+    ("F7d", False): "401b5bad43f85848b3118d4d15a3d3f394b1c0d590086e070ec85d3a0ec1b807",
+    ("F7d", True): "bfb6eae15d73de881a98d79b77292eba64e336678b4dcf40a9a058c4cd118cc7",
+}
+
+
+def test_qform_bytes_are_frozen(capsys):
+    for (seed, as_json), digest in QFORM_DIGESTS.items():
+        argv = ["qform", "--seed", f"builtin:{seed}", "--pmax", "200"]
+        code, out, err = run_cli(argv + ["--json"] * as_json, capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_byte_identical_reruns(capsys):
