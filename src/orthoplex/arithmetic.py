@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .config import BendVector
+from .config import BendVector, descartes_form
 from .groups import GroupElement, IntRows, _rows
 from .ring import Mat
 
@@ -57,7 +57,7 @@ def epsilon_of(bends8: Sequence[int]) -> ObstructionClass:
     matches the eight bends up to admissible reordering."""
     if len(bends8) != 8:
         raise ValueError("epsilon_of takes the eight bends of a configuration")
-    canon = _canonical_pairs_mod([int(b) for b in bends8], 4)
+    canon = _canonical_pairs_mod(bends8, 4)
     if canon == _PATTERN_PLUS:
         return ObstructionClass(1)
     if canon == _PATTERN_MINUS:
@@ -86,11 +86,6 @@ class FiltrationReport:
         return len(self.representatives)
 
 
-def _descartes_int(b1: int, b2: int, b3: int, b4: int, mu: int) -> int:
-    return 2 * mu * mu - 2 * mu * (b1 + b2 + b3 + b4) + (
-        b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4)
-
-
 def enumerate_mod8() -> FiltrationReport:
     """Brute-force the Descartes cone over Z/8 and filter down to the two
     mod-4 classes behind the local obstruction.
@@ -102,7 +97,7 @@ def enumerate_mod8() -> FiltrationReport:
     signed-permutation dedupe.
     """
     sols5 = [v for v in itertools.product(range(8), repeat=5)
-             if _descartes_int(*v) % 8 == 0]
+             if descartes_form(v) % 8 == 0]
     tuples8 = set()
     for b1, b2, b3, b4, mu in sols5:
         two_mu = 2 * mu
@@ -413,9 +408,7 @@ class QuaternaryForm:
 def qform_from_bend_vector(bv: BendVector) -> QuaternaryForm:
     """The substitution A = b+b2, B = -(b+b2+b3+b4-2*b_mu)/2,
     C = -(b+b2+b3-b4)/2, D = b+b3."""
-    if not bv.is_integral():
-        raise ValueError("quaternary form needs an integral bend vector")
-    b, b2, b3, b4, mu = bv.as_ints()
+    b, b2, b3, b4, mu = bv
     if (b + b2 + b3 + b4) % 2:
         raise ValueError("not a bend vector: b1+b2+b3+b4 is odd")
     return QuaternaryForm(
@@ -565,9 +558,7 @@ def bend_from_xi(bv: BendVector, alpha: GaussianInt, beta: GaussianInt) -> int:
     if not (_alpha_parity_ok(alpha) and _beta_even(beta)):
         raise ValueError("pair violates the congruence alpha = 1 or i, "
                          "beta = 0 (mod 2)")
-    if not bv.is_integral():
-        raise ValueError("bend_from_xi needs an integral bend vector")
-    b, b2, b3, b4, mu = bv.as_ints()
+    b, b2, b3, b4, mu = bv
     re_ab = (alpha.conj() * beta).re
     im_ba = (beta.conj() * alpha).im
     na, nb = alpha.norm(), beta.norm()

@@ -26,11 +26,12 @@ class CliError(Exception):
 
 
 def _load_seed(spec: str, check: bool = True) -> FMatrix:
-    """A builtin seed or an FMatrix JSON file.  A seed that fails the
-    Gramian/Descartes identities is invalid input unless ``check`` is off,
-    as it is for ``verify``, which reports on the identities itself."""
-    name = spec.split(":", 1)[1] if spec.startswith("builtin:") else spec
-    if name in BUILTIN_SEEDS:
+    """A builtin seed, named ``builtin:NAME``, or else the path of an
+    FMatrix JSON file.  A seed that fails the Gramian/Descartes identities
+    is invalid input unless ``check`` is off, as it is for ``verify``,
+    which reports on the identities itself."""
+    name = spec.removeprefix("builtin:")
+    if name != spec and name in BUILTIN_SEEDS:
         return BUILTIN_SEEDS[name]
     try:
         with open(spec, "r", encoding="utf-8") as fh:
@@ -51,8 +52,9 @@ def _load_seed(spec: str, check: bool = True) -> FMatrix:
     return f
 
 
-def _emit_json(doc: dict, out=None):
-    (out or sys.stdout).write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _json_text(doc: dict) -> str:
+    """The one JSON encoder: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _write_out(path: str, blob: bytes):
@@ -65,7 +67,7 @@ def _write_out(path: str, blob: bytes):
 
 def _emit(doc: dict, lines: List[str], args):
     if getattr(args, "json", False):
-        _emit_json(doc)
+        sys.stdout.write(_json_text(doc))
     else:
         for line in lines:
             sys.stdout.write(line + "\n")
@@ -82,22 +84,16 @@ def cmd_gen(args) -> int:
     report = _run_packing(args, args.mode)
     doc = {"schema_version": SCHEMA_VERSION, "command": "gen",
            "seed": args.seed, "report": report.to_json_dict()}
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    lines = [
+        f"seed {args.seed} cap {args.cap} mode {report.mode}",
+        f"states {report.states} exhausted {report.frontier_exhausted}",
+        f"classification {report.classification} epsilon {report.epsilon:+d}",
+        f"bends [{report.min_bend}, {args.cap}]: {len(report.bends)} values",
+    ]
     if args.out:
-        _write_out(args.out, payload.encode())
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        lines = [
-            f"seed {args.seed} cap {args.cap} mode {report.mode}",
-            f"states {report.states} exhausted {report.frontier_exhausted}",
-            f"classification {report.classification} epsilon {report.epsilon:+d}",
-            f"bends [{report.min_bend}, {args.cap}]: {len(report.bends)} values",
-        ]
-        if args.out:
-            lines.append(f"wrote {args.out}")
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        _write_out(args.out, _json_text(doc).encode())
+        lines.append(f"wrote {args.out}")
+    _emit(doc, lines, args)
     return 0 if report.frontier_exhausted else 3
 
 
@@ -198,7 +194,7 @@ def cmd_qform(args) -> int:
     classes = sorted(arithmetic.local_classes(q))
     doc = {"schema_version": SCHEMA_VERSION, "command": "qform",
            "seed": args.seed, "ordering": args.ordering,
-           "bend_vector": [int(b) for b in bv],
+           "bend_vector": list(bv),
            "A": q.A, "B": q.B, "C": q.C, "D": q.D, "shift_b": q.shift_b,
            "hermitian_discriminant": q.B ** 2 + q.C ** 2 - q.A * q.D,
            "quaternary_discriminant": arithmetic.discriminant(q),
@@ -206,7 +202,7 @@ def cmd_qform(args) -> int:
            "local_classes": classes,
            "isotropy": iso}
     lines = [
-        f"bend vector {tuple(int(b) for b in bv)} (sphere {args.ordering} first)",
+        f"bend vector {tuple(bv)} (sphere {args.ordering} first)",
         f"(A, B, C, D) = ({q.A}, {q.B}, {q.C}, {q.D}), shift b = {q.shift_b}",
         f"B^2+C^2-AD = {doc['hermitian_discriminant']}",
         f"discriminant = {doc['quaternary_discriminant']}",

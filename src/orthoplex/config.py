@@ -10,12 +10,13 @@ left of F-matrices, Moebius matrices on the right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .inversive import Coord5, Q_SIGMA, Q_WILKER, classify_pair, inversive_product
-from .ring import Mat, ONE, QSqrt2, ZERO, Scalar
+from .ring import Mat, ONE, QSqrt2, ZERO, Scalar, gauss_jordan
 
 G_SIGMA_F = Mat.from_rows([
     [1, -1, -1, -1, -1],
@@ -45,36 +46,30 @@ DECOMPRESSION = Mat.from_rows([
 ])
 
 
-class BendVector(Tuple[Fraction, ...]):
-    """The second column (b1, b2, b3, b4, b_mu) of an F-matrix."""
+class BendVector(Tuple[int, ...]):
+    """The bend column (b1, b2, b3, b4, b_mu) of an integral F-matrix.
 
-    def __new__(cls, vals: Sequence):
-        vals = tuple(Fraction(v) for v in vals)
+    Entries are Python ints: each goes through ``operator.index``, so a
+    ``Fraction``, float or str raises ``TypeError``.  Integrality is decided
+    once, by ``FMatrix.bend_vector``."""
+
+    def __new__(cls, vals: Iterable[int]):
+        vals = tuple(map(operator.index, vals))
         if len(vals) != 5:
             raise ValueError("bend vector needs five entries")
         return super().__new__(cls, vals)
 
     @property
-    def b_mu(self) -> Fraction:
+    def b_mu(self) -> int:
         return self[4]
 
-    def bends8(self) -> Tuple[Fraction, ...]:
+    def bends8(self) -> Tuple[int, ...]:
         """All eight sphere bends: b1..b4 and the complements 2*b_mu - bk."""
         two_mu = 2 * self[4]
         return self[:4] + tuple(two_mu - b for b in self[:4])
 
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self)
-
     def is_primitive(self) -> bool:
-        if not self.is_integral():
-            return False
-        return math.gcd(*(int(v) for v in self)) == 1
-
-    def as_ints(self) -> Tuple[int, ...]:
-        if not self.is_integral():
-            raise ValueError("bend vector is not integral")
-        return tuple(int(v) for v in self)
+        return math.gcd(*self) == 1
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,11 @@ class FMatrix:
         return tuple(self.rows[:4]) + tuple(self.complement_row(k) for k in range(4))
 
     def bend_vector(self) -> BendVector:
-        col = [r.b for r in self.rows]
-        if any(x.irr != 0 for x in col):
-            raise ValueError("bend column is not rational")
-        return BendVector([x.rat for x in col])
+        """The bend column as ints; the one place its integrality is
+        decided."""
+        if not all(r.b.is_integer() for r in self.rows):
+            raise ValueError("bend column is not integral")
+        return BendVector(r.b.xyd[0] for r in self.rows)
 
     def apply_mobius(self, m: Mat) -> "FMatrix":
         """Right action by a Moebius matrix (acts on each row)."""
@@ -198,16 +194,15 @@ def check_dgm(f: FMatrix) -> bool:
     return all(descartes_form(m.col(j)) == expected[j] for j in range(5))
 
 
-def descartes_form(z: Sequence[Scalar]) -> QSqrt2:
-    """2 z_mu^2 - 2 z_mu (z1+z2+z3+z4) + (z1^2+z2^2+z3^2+z4^2)."""
-    z = [QSqrt2.coerce(x) for x in z]
+def descartes_form(z: Sequence[Scalar]) -> Scalar:
+    """2 z_mu^2 - 2 z_mu (z1+z2+z3+z4) + (z1^2+z2^2+z3^2+z4^2), computed in
+    the entries' own ring: ints give an int, ``QSqrt2`` entries a
+    ``QSqrt2``."""
     if len(z) != 5:
         raise ValueError("the orthoplicial Descartes form takes five entries")
-    zmu = z[4]
-    head = z[:4]
-    s = head[0] + head[1] + head[2] + head[3]
-    sq = sum((x * x for x in head), ZERO)
-    return zmu * zmu * 2 - zmu * s * 2 + sq
+    z1, z2, z3, z4, zmu = z
+    return (2 * zmu * (zmu - (z1 + z2 + z3 + z4))
+            + (z1 * z1 + z2 * z2 + z3 * z3 + z4 * z4))
 
 
 def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -274,27 +269,10 @@ def _solve_antipodal_line(rows: Sequence[Coord5]) -> Tuple[List[QSqrt2], List[QS
     for v in rows:
         qv = Q_SIGMA * Mat(5, 1, list(v))
         aug.append([qv[i, 0] for i in range(5)] + [QSqrt2(-1)])
-    ncols = 5
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, 4) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(4):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == 4:
-            break
-    if r < 4:
+    pivots, _ = gauss_jordan(aug, 5)
+    if len(pivots) < 4:
         raise ValueError("tangent quadruple rows are not independent")
-    free = next(c for c in range(ncols) if c not in pivots)
+    free = next(c for c in range(5) if c not in pivots)
     particular = [ZERO] * 5
     kernel = [ZERO] * 5
     kernel[free] = ONE

@@ -46,7 +46,7 @@ from .inversive import Coord5, HonestSphere, sphere_from_coords
 from .ring import QSqrt2
 
 DEFAULT_BUDGET = 10 ** 7
-DEFAULT_BOX = Fraction(10)
+DEFAULT_BOX = 10
 
 _MASKS = tuple(itertools.product((0, 1), repeat=4))
 
@@ -128,10 +128,12 @@ class PackingReport:
 
 
 def _seed_bend_vector(seed: FMatrix) -> BendVector:
-    if not all(r.b.is_integer() for r in seed.rows):
+    try:
+        return seed.bend_vector()
+    except ValueError:
         raise WalkInputError(
-            "bend walks and the mod-4 obstruction need an integral seed")
-    return seed.bend_vector()
+            "bend walks and the mod-4 obstruction need an integral seed"
+        ) from None
 
 
 def _seed_obstruction(seed: FMatrix) -> Tuple[BendVector, ObstructionClass]:
@@ -141,7 +143,7 @@ def _seed_obstruction(seed: FMatrix) -> Tuple[BendVector, ObstructionClass]:
     if not bv.is_primitive():
         raise WalkInputError(
             "the mod-4 obstruction needs a primitive seed: its bends "
-            f"{tuple(map(int, bv))} share a factor")
+            f"{tuple(bv)} share a factor")
     return bv, epsilon_of(bv.bends8())
 
 
@@ -157,7 +159,7 @@ def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
 
 def generate(spec: PackingSpec) -> PackingReport:
     bv, obs = _seed_obstruction(spec.seed)
-    low = int(min(bv.bends8()))
+    low = min(bv.bends8())
     if spec.bend_cap < low:
         raise CapBelowSeedError(
             f"cap {spec.bend_cap} is below every seed bend (min {low})")
@@ -219,19 +221,19 @@ def _nonneg(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             | ((y >= 0) & (2 * y * y >= x * x)))
 
 
-def _in_box(v: np.ndarray, box: Fraction) -> np.ndarray:
+def _in_box(v: np.ndarray, box: int) -> np.ndarray:
     """Which geometric rows (n, 9) are planes or have |xhat|, |yhat| and
-    |zhat| at most ``box`` times |b|."""
-    bound = box.numerator * np.abs(v[:, 0])
+    |zhat| at most the integer ``box`` times |b|."""
+    bound = box * np.abs(v[:, 0])
     ok = np.ones(len(v), dtype=bool)
     for c in (3, 5, 7):
-        p, q = box.denominator * v[:, c], box.denominator * v[:, c + 1]
+        p, q = v[:, c], v[:, c + 1]
         ok &= _nonneg(bound - p, -q) & _nonneg(bound + p, q)
     return ok | (v[:, 0] == 0)
 
 
 def _children(states: np.ndarray, cap: int,
-              box: Optional[Fraction] = None) -> Iterator[np.ndarray]:
+              box: Optional[int] = None) -> Iterator[np.ndarray]:
     """The canonical states of the moves from ``states`` that create a bend
     at most ``cap`` and, with a ``box``, a sphere that passes the box test;
     one C-contiguous batch per move pattern, duplicates included."""
@@ -257,7 +259,7 @@ def _children(states: np.ndarray, cap: int,
 
 def _walk(rows: List[List[int]], cap: int, budget: int,
           reduce: Callable[[np.ndarray], object],
-          box: Optional[Fraction] = None) -> Tuple[list, int, bool]:
+          box: Optional[int] = None) -> Tuple[list, int, bool]:
     """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
     (C ints each): ``reduce`` of each whole level taken while the state
     count stays within ``budget``, that count, and whether the frontier
@@ -301,7 +303,7 @@ def _generate_bend(spec: PackingSpec):
         mult.update(dict(zip(uniq.tolist(), counts.tolist())))
         return int((all8 == 0).sum(axis=1).max())
 
-    rows = [[b] for b in spec.seed.bend_vector().as_ints()]
+    rows = [[b] for b in spec.seed.bend_vector()]
     zeros, states, exhausted = _walk(rows, cap, spec.budget, level)
     return mult, max(zeros) if 0 in mult else 0, states, exhausted, None
 
@@ -348,7 +350,7 @@ def orbit_bend_vectors(seed: FMatrix, cap: int,
     visits at this cap, sorted.  Each is a genuine bend vector of a
     reordered configuration: picking one sphere per disjoint pair is
     admissible."""
-    rows = [[b] for b in _seed_bend_vector(seed).as_ints()]
+    rows = [[b] for b in _seed_bend_vector(seed)]
     levels, _, exhausted = _walk(rows, cap, budget, lambda s: s[:, :, 0])
     if not exhausted:
         raise RuntimeError("node budget exceeded")

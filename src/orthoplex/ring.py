@@ -12,7 +12,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "QSqrt2"]
 
@@ -214,6 +214,39 @@ def parse_qsqrt2(text: str) -> QSqrt2:
     return QSqrt2(*parts)
 
 
+def gauss_jordan(a: List[List[QSqrt2]], ncols: int) -> Tuple[List[int], QSqrt2]:
+    """Bring the rows ``a`` to reduced row echelon form in place, pivoting
+    in the first ``ncols`` columns only.  Returns the pivot columns and the
+    product of the pivots, negated once per row swap: the determinant of
+    those columns when they are square and all pivot.
+
+    Exact arithmetic needs no pivoting strategy: the first nonzero entry
+    in the column is always an acceptable pivot.
+    """
+    pivots: List[int] = []
+    det = ONE
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            det = -det
+        p = a[r][c]
+        det = det * p
+        pinv = p.inverse()
+        a[r] = [e * pinv for e in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        if len(pivots) == len(a):
+            break
+    return pivots, det
+
+
 class Mat:
     """A dense exact matrix over Q[sqrt 2], stored row-major and immutable."""
 
@@ -320,36 +353,17 @@ class Mat:
                    [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def _eliminate(self):
-        """Gaussian elimination; returns (det, inverse-or-None).
-
-        Exact arithmetic needs no pivoting strategy: the first nonzero
-        entry in the column is always an acceptable pivot.
-        """
+        """Gauss-Jordan elimination of [self | I]; returns (det,
+        inverse-or-None)."""
         if self.rows != self.cols:
             raise ValueError("determinant/inverse of a non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
-        inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        det = ONE
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return ZERO, None
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                inv[col], inv[pivot] = inv[pivot], inv[col]
-                det = -det
-            p = a[col][col]
-            det = det * p
-            pinv = p.inverse()
-            a[col] = [e * pinv for e in a[col]]
-            inv[col] = [e * pinv for e in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return det, Mat.from_rows(inv)
+        a = [list(self.row(i)) + [ONE if i == j else ZERO for j in range(n)]
+             for i in range(n)]
+        pivots, det = gauss_jordan(a, n)
+        if len(pivots) < n:
+            return ZERO, None
+        return det, Mat.from_rows([row[n:] for row in a])
 
     def det(self) -> QSqrt2:
         det, _ = self._eliminate()

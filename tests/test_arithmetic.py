@@ -616,7 +616,7 @@ def test_obstruction_soundness_random_orbit():
                      for m in APOLLONIAN.values()])
     rng = np.random.default_rng(2718)
     for f in (F0, F1, F7D):
-        bv = np.array(f.bend_vector().as_ints(), dtype=np.int64)
+        bv = np.array(f.bend_vector(), dtype=np.int64)
         eps = epsilon_of(f.bend_vector().bends8()).epsilon
         forbidden = (-eps) % 4
         for _ in range(10_000):

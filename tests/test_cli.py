@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from orthoplex import cli
-from orthoplex.config import F1
+from orthoplex.config import F0, F1
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import mobius_rescale, mobius_translate
 from orthoplex.ring import SQRT2
@@ -362,6 +362,55 @@ def test_qform_bytes_are_frozen(capsys):
         code, out, err = run_cli(argv + ["--json"] * as_json, capsys)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of gen's stdout, frozen before gen went through the shared emitter
+GEN_DIGESTS = {
+    ("F1", "30", "bend", False): "ed24dade1b05cde832df73ace2b3a8bcd1f1e52009f5363b05acdfcbec784916",
+    ("F1", "30", "bend", True): "e7fe645bdcdf3e2ffe0098c596984f6efc83a4ed357bc64dcc7e5b12ab04bd8c",
+    ("F0", "6", "geom", False): "298ade0940b497e4b62ce423c2dd03815cc2e2ac6e84369e0e285d4291a40735",
+    ("F0", "6", "geom", True): "f8700aa5e048a0d785af6a24832996645dd97caec5848e631d277d0c82454bb7",
+}
+
+
+def test_gen_bytes_are_frozen(tmp_path, capsys):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    texts = {}
+    for (seed, cap, mode, as_json), digest in GEN_DIGESTS.items():
+        argv = ["gen", "--seed", f"builtin:{seed}", "--cap", cap, "--mode", mode]
+        code, out, err = run_cli(argv + ["--json"] * as_json, capsys)
+        assert code == 0 and err == ""
+        assert sha(out.encode()) == digest, argv
+        texts[seed, as_json] = out
+    # --out holds the --json bytes; text output gains one "wrote" line
+    path = tmp_path / "report.json"
+    for as_json in (False, True):
+        code, out, err = run_cli(["gen", "--seed", "builtin:F1", "--cap", "30",
+                                  "--out", str(path)] + ["--json"] * as_json,
+                                 capsys)
+        assert code == 0 and err == ""
+        assert path.read_text() == texts["F1", True]
+        assert out == (texts["F1", True] if as_json
+                       else texts["F1", False] + f"wrote {path}\n")
+        path.unlink()
+
+
+def test_bare_seed_name_is_a_path(tmp_path, monkeypatch, capsys):
+    # only builtin:NAME names a builtin: a bare F1 is the file ./F1, here F0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "F1").write_text(json.dumps(F0.to_json_dict()))
+    code, out, _ = run_cli(["obstruct", "--seed", "F1"], capsys)
+    assert code == 0 and out.startswith("epsilon +1;")
+    code, out, _ = run_cli(["bends", "--seed", "F1", "--cap", "6"], capsys)
+    assert code == 0 and out.split() == ["0", "1", "2", "4", "5", "6"]
+    code, out, _ = run_cli(["obstruct", "--seed", "builtin:F1"], capsys)
+    assert code == 0 and out.startswith("epsilon -1;")
+    for spec in ("F7d", "builtin:F2"):
+        code, out, err = run_cli(["obstruct", "--seed", spec], capsys)
+        assert code == 2 and out == "" and "unknown seed" in err, spec
+        assert_one_error_line(err)
 
 
 def test_byte_identical_reruns(capsys):

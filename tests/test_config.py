@@ -2,14 +2,17 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoplex.config import (
     BendVector, DECOMPRESSION, F0, F1, F7D, FMatrix, antipodal, check_dgm,
     check_gramian, check_orthoplex_graph, complete_quadruple, descartes_form,
     f_from_v, qsqrt2_sqrt, solve_b_mu, v_from_f,
 )
-from orthoplex.groups import element, apply
+from orthoplex.groups import APOLLONIAN, element, apply
 from orthoplex.inversive import mobius_inversion, mobius_rescale, mobius_translate
 from orthoplex.ring import Mat, QSqrt2, SQRT2
 
@@ -128,6 +131,14 @@ def test_complete_quadruple_exchanged_by_rf():
     assert apply(rf, fb) == fa
 
 
+@given(st.sampled_from((F0, F1, F7D)),
+       st.lists(st.sampled_from(sorted(APOLLONIAN)), min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_apollonian_images_lie_in_their_quadruple_completion(f, word):
+    image = apply(element("Apollonian", word), f)
+    assert image in complete_quadruple(image.rows[:4])
+
+
 def test_complete_quadruple_rejects_non_tangent():
     v = v_from_f(F0)
     with pytest.raises(ValueError):
@@ -137,12 +148,41 @@ def test_complete_quadruple_rejects_non_tangent():
 def test_bend_vectors_of_builtins():
     bv = F7D.bend_vector()
     assert bv == BendVector((20, 12, 17, -7, 21))
-    assert bv.is_integral() and bv.is_primitive()
+    assert all(type(b) is int for b in bv) and bv.is_primitive()
     bv0 = F0.bend_vector()
     assert bv0 == BendVector((0, 0, 1, 1, 1))
     assert bv0.is_primitive()
     doubled = BendVector((0, 0, 2, 2, 2))
-    assert doubled.is_integral() and not doubled.is_primitive()
+    assert all(type(b) is int for b in doubled) and not doubled.is_primitive()
+
+
+def test_bend_vector_entries_are_ints():
+    for bv in (BendVector((0, 0, 1, 1, 1)), BendVector(np.array([2, 2, 3, -1, 3])),
+               F7D.bend_vector()):
+        assert all(type(b) is int for b in bv + bv.bends8())
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), Fraction(1, 2), 1.0, "1"])
+def test_bend_vector_refuses_non_int_entries(bad):
+    with pytest.raises(TypeError):
+        BendVector((bad, 0, 1, 1, 1))
+
+
+def test_bend_vector_of_non_integral_column():
+    # F1 dilated by 2 has half-integral bends, dilated by sqrt2 irrational ones
+    for t in (2, SQRT2):
+        f = F1.apply_mobius(mobius_rescale(t))
+        assert check_gramian(f) and check_dgm(f)
+        with pytest.raises(ValueError, match="integral"):
+            f.bend_vector()
+
+
+@given(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_descartes_form_on_ints_is_an_int(z):
+    value = descartes_form(z)
+    assert type(value) is int
+    assert value == descartes_form([QSqrt2(x) for x in z])
 
 
 def test_bends8_complements():
@@ -165,7 +205,7 @@ def test_orbit_parity_and_square_discriminant(rng):
     for f in (F0, F1, F7D):
         for _ in range(40):
             g = random_apollonian_word(rng)
-            bv = apply(g, f).bend_vector().as_ints()
+            bv = apply(g, f).bend_vector()
             s = sum(bv[:4])
             assert s % 2 == 0
             disc = s * s - 2 * sum(b * b for b in bv[:4])

@@ -157,7 +157,7 @@ def reference_walk(seed, cap, budget):
     level: the oracle for the numpy engine.  Returns the states of the
     levels taken and whether the frontier emptied.  The walk takes whole
     levels while its state count stays within the budget."""
-    b = seed.bend_vector().as_ints()
+    b = seed.bend_vector()
     lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
     start = lo + (b[4],)
     visited = {start}
@@ -360,7 +360,12 @@ def test_orbit_bend_vectors_all_satisfy_cone():
         vecs = orbit_bend_vectors(seed, 20)
         assert vecs
         for bv in vecs:
-            assert descartes_form(bv.as_ints()) == QSqrt2(0)
+            assert descartes_form(bv) == QSqrt2(0)
+
+
+def test_orbit_bend_vectors_hold_ints():
+    vecs = orbit_bend_vectors(F7D, 60)
+    assert vecs and all(type(b) is int for bv in vecs for b in bv)
 
 
 def test_export_v0_configuration_alone():

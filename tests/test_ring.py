@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthoplex.arithmetic import J_CHANGE_OF_VARIABLES
@@ -159,6 +160,50 @@ def mat_pairs(draw):
 def test_product_matches_naive_accumulation(ab):
     a, b = ab
     assert a * b == naive_matmul(a, b)
+
+
+@st.composite
+def square_mats(draw):
+    """5x5 matrices over Q[sqrt2]; about one in three is made singular by
+    setting one row to a combination of two others."""
+    entry = st.builds(lambda k, r, s: QSqrt2(k * r, k * s),
+                      st.integers(-9, 9), MIXED, MIXED)
+    rows = [draw(st.lists(entry, min_size=5, max_size=5)) for _ in range(5)]
+    if draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(5)))[:3]
+        s, t = draw(entry), draw(entry)
+        rows[k] = [s * x + t * y for x, y in zip(rows[i], rows[j])]
+    return Mat.from_rows(rows)
+
+
+def leibniz_det(m):
+    """Sum over permutations of signed products: an independent oracle."""
+    total = QSqrt2(0)
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(m.rows)
+                         for j in range(i + 1, m.rows))
+        term = QSqrt2(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m[i, j]
+        total = total + term
+    return total
+
+
+@given(square_mats())
+@settings(max_examples=200, deadline=None)
+@example(Mat(5, 5, [0] * 25))
+@example(Mat.from_rows([[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+                        [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]]))
+@example(Mat.from_rows([[1, 0, 2, 3, 4], [5, 0, 6, 7, SQRT2], [1, 0, 1, 1, 1],
+                        [2, 0, SQRT2, 1, 0], [3, 0, 1, 4, 1]]))
+def test_det_and_inverse_match_leibniz(m):
+    det = leibniz_det(m)
+    assert m.det() == det
+    if det:
+        assert m * m.inverse() == Mat.identity(5)
+    else:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
 
 
 def test_product_edge_cases():
