@@ -168,9 +168,6 @@ class GaussianInt:
     def __sub__(self, other):
         return self + (-GaussianInt.coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + GaussianInt.coerce(other)
-
     def __mul__(self, other):
         other = GaussianInt.coerce(other)
         return GaussianInt(self.re * other.re - self.im * other.im,
@@ -199,9 +196,6 @@ class GaussianInt:
 
         q = GaussianInt(nearest(num.re), nearest(num.im))
         return q, self - q * other
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __str__(self):
         if self.im == 0:
@@ -258,9 +252,6 @@ class MobiusPair:
 
     def inverse(self) -> "MobiusPair":
         return MobiusPair(self.delta, -self.beta, -self.gamma, self.alpha)
-
-    def entries(self) -> Tuple[GaussianInt, ...]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
 
     def projectively_equals(self, other: "MobiusPair") -> bool:
         return self == other or self == other.neg()
@@ -344,14 +335,10 @@ DISCRIMINANT_FORM = Mat.from_rows([
 
 
 def conjugate_by_J(g) -> IntRows:
-    """J g J^-1 for a stabilizer element; integer by construction, and a
-    non-integer result signals that g was outside the oriented stabilizer."""
-    if isinstance(g, GroupElement):
-        gm = g.mat()
-    elif isinstance(g, Mat):
-        gm = g
-    else:
-        gm = Mat.from_rows(g)
+    """J g J^-1 for a stabilizer element, a ``GroupElement`` or a ``Mat``;
+    integer by construction, and a non-integer result signals that g was
+    outside the oriented stabilizer."""
+    gm = g.mat() if isinstance(g, GroupElement) else g
     res = J_CHANGE_OF_VARIABLES * gm * J_CHANGE_OF_VARIABLES.inverse()
     if not res.is_integer():
         raise ValueError("conjugation by J left the integers; the element "
@@ -497,47 +484,41 @@ def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int
     """Whether the form has a nonzero root mod p, with a verified witness.
 
     A, B, C and D are reduced mod p once, and every witness is checked
-    against the reduced coefficients.  p = 2 tries seven fixed vectors; for
-    p dividing A the witness is (1, 0, 0, 0); for p dividing b the
-    degenerate eigenvectors reduce to roots.  Away from the discriminant
-    the root (alpha, 1) completes the square in the hermitian picture:
-    A*alpha + B + iC = u1 + i*u2 with the least u1, and the least u2 for
-    it, solving u1^2 + u2^2 = -b^2 (mod p).  Primality and those (u1, u2)
-    per (p, -b^2 mod p) sit in LRU caches of 1,024 and 4,096 entries.
+    against the reduced coefficients.  No branch searches.  Mod 2 the form
+    is A(a1 + a2) + D(b1 + b2), so the witness is (1, 0, 0, 0) for A even,
+    else (0, 0, 1, 0) for D even, else (1, 0, 1, 0); for p dividing A it is
+    (1, 0, 0, 0); for odd p dividing b, with A a unit, it is the degenerate
+    eigenvector (C, -B, 0, A), a root because AD - B^2 - C^2 = b^2.  Away
+    from the discriminant the root (alpha, 1) completes the square in the
+    hermitian picture: A*alpha + B + iC = u1 + i*u2 with the least u1, and
+    the least u2 for it, solving u1^2 + u2^2 = -b^2 (mod p).  Primality and
+    those (u1, u2) per (p, -b^2 mod p) sit in LRU caches of 1,024 and 4,096
+    entries.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     A, B, C, D = q.A % p, q.B % p, q.C % p, q.D % p
 
-    def ok(w) -> Optional[Tuple[int, ...]]:
+    def root(w) -> Tuple[int, ...]:
         a1, a2, b1, b2 = w = tuple(x % p for x in w)
-        if any(w) and (A * (a1 * a1 + a2 * a2)
-                       + 2 * B * (a1 * b1 + a2 * b2)
-                       + 2 * C * (a2 * b1 - a1 * b2)
-                       + D * (b1 * b1 + b2 * b2)) % p == 0:
-            return w
-        return None
+        if not any(w) or (A * (a1 * a1 + a2 * a2)
+                          + 2 * B * (a1 * b1 + a2 * b2)
+                          + 2 * C * (a2 * b1 - a1 * b2)
+                          + D * (b1 * b1 + b2 * b2)) % p:
+            raise AssertionError(f"witness {w} is not a root mod {p}")
+        return w
 
     if p == 2:
-        for w in ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1),
-                  (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)):
-            got = ok(w)
-            if got:
-                return True, got
-        return False, None
+        # Q = A(a1 + a2) + D(b1 + b2) (mod 2)
+        return True, root((1, 0, 0, 0) if A == 0 else (0, 0, 1, 0) if D == 0
+                          else (1, 0, 1, 0))
 
     if A == 0:
         return True, (1, 0, 0, 0)
 
     if q.shift_b % p == 0:
-        for w in degenerate_eigenvectors(q):
-            got = ok(w)
-            if got:
-                return True, got
-        # eigenvectors vanished mod p, i.e. A = B = C = 0; but A was a unit
-        # above, so this point is unreachable for genuine bend forms
-        got = ok((1, 0, 0, 0))
-        return (True, got) if got else (False, None)
+        # M (C, -B, 0, A) = (0, 0, 0, AD - B^2 - C^2) = (0, 0, 0, b^2)
+        return True, root(degenerate_eigenvectors(q)[0])
 
     # p coprime to 2b: A*Q = |A*alpha + (B+iC)*beta|^2 + b^2*|beta|^2, so
     # pick beta = 1 and solve u1^2 + u2^2 = -b^2 (mod p)

@@ -20,6 +20,11 @@ from .config import BUILTIN_SEEDS, FMatrix, check_dgm, check_gramian
 
 SCHEMA_VERSION = 1
 
+# qform keeps a table of (p+1)/2 square roots per prime below --pmax: 10^5
+# already takes over a minute and about 400 MB, and larger bounds run out
+# of memory
+PMAX_LIMIT = 10 ** 5
+
 
 class CliError(Exception):
     """Invalid input: one ``error:`` line on stderr and exit 2."""
@@ -174,6 +179,8 @@ def cmd_mod8(args) -> int:
 def cmd_qform(args) -> int:
     if args.pmax < 2:
         raise CliError(f"--pmax must be at least 2, got {args.pmax}")
+    if args.pmax > PMAX_LIMIT:
+        raise CliError(f"--pmax must be at most {PMAX_LIMIT}, got {args.pmax}")
     seed = _load_seed(args.seed)
     f = seed
     if args.ordering != 1:
@@ -228,7 +235,7 @@ def _verification_checks(seed_specs: List[str]) -> List[dict]:
         for label, ok in rel:
             checks.append({"name": f"{name}-relation[{label}]", "ok": ok})
     for table in ("Platonic", "Apollonian", "Stabilizer1", "DualApollonian"):
-        for label in groups.generators(table).labels:
+        for label in groups.generators(table):
             g = groups.element(table, (label,))
             ok, det = groups.verify_orthogonality(g)
             checks.append({"name": f"orthogonal[{table}.{label}]",
@@ -281,11 +288,11 @@ def cmd_groups(args) -> int:
     except KeyError as e:
         raise CliError(str(e.args[0]))
     doc = {"schema_version": SCHEMA_VERSION, "command": "groups-show",
-           "table": tab.name,
+           "table": table,
            "generators": [{"label": lab, "matrix": [list(r) for r in m]}
-                          for lab, m in tab.matrices]}
+                          for lab, m in tab.items()]}
     lines = []
-    for lab, m in tab.matrices:
+    for lab, m in tab.items():
         lines.append(lab)
         lines += ["  " + " ".join(f"{x:4d}" for x in row) for row in m]
     _emit(doc, lines, args)
@@ -357,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ordering", type=int, default=1, metavar="K",
                    help="which sphere (1..8) to put first")
     p.add_argument("--pmax", type=int, default=100,
-                   help="isotropy table bound, at least 2 (default 100)")
+                   help=f"isotropy table bound, 2 to {PMAX_LIMIT} "
+                        "(default 100)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_qform)
 

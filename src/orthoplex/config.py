@@ -59,10 +59,6 @@ class BendVector(Tuple[int, ...]):
             raise ValueError("bend vector needs five entries")
         return super().__new__(cls, vals)
 
-    @property
-    def b_mu(self) -> int:
-        return self[4]
-
     def bends8(self) -> Tuple[int, ...]:
         """All eight sphere bends: b1..b4 and the complements 2*b_mu - bk."""
         two_mu = 2 * self[4]
@@ -147,9 +143,6 @@ class VMatrix:
         if len(rows) != 8:
             raise ValueError("a V-matrix has exactly eight rows")
         object.__setattr__(self, "rows", rows)
-
-    def mat(self) -> Mat:
-        return Mat.from_rows([list(r) for r in self.rows])
 
 
 def antipodal(v1: Coord5, v5: Coord5) -> Coord5:
@@ -321,34 +314,30 @@ def complete_quadruple(rows: Sequence[Coord5]) -> Tuple[FMatrix, FMatrix]:
     return FMatrix(rows + (w1,)), FMatrix(rows + (w2,))
 
 
-def _c5(*vals) -> Coord5:
-    return Coord5.of(*vals)
-
-
 _S2 = QSqrt2(0, 1)
 
 F0 = FMatrix((
-    _c5(2, 0, 0, 0, 1),
-    _c5(2, 0, 0, 0, -1),
-    _c5(1, 1, _S2, 0, 0),
-    _c5(1, 1, 0, _S2, 0),
-    _c5(1, 1, 0, 0, 0),
+    Coord5.of(2, 0, 0, 0, 1),
+    Coord5.of(2, 0, 0, 0, -1),
+    Coord5.of(1, 1, _S2, 0, 0),
+    Coord5.of(1, 1, 0, _S2, 0),
+    Coord5.of(1, 1, 0, 0, 0),
 ))
 
 F1 = FMatrix((
-    _c5(4, 2, 0, _S2 * 2, 1),
-    _c5(4, 2, 0, _S2 * 2, -1),
-    _c5(3, 3, _S2, _S2 * 2, 0),
-    _c5(-1, -1, 0, -_S2, 0),
-    _c5(3, 3, 0, _S2 * 2, 0),
+    Coord5.of(4, 2, 0, _S2 * 2, 1),
+    Coord5.of(4, 2, 0, _S2 * 2, -1),
+    Coord5.of(3, 3, _S2, _S2 * 2, 0),
+    Coord5.of(-1, -1, 0, -_S2, 0),
+    Coord5.of(3, 3, 0, _S2 * 2, 0),
 ))
 
 F7D = FMatrix((
-    _c5(34, 20, _S2 * 18, _S2 * 2, -5),
-    _c5(18, 12, _S2 * 10, _S2 * 2, -3),
-    _c5(29, 17, _S2 * 15, _S2 * 2, -6),
-    _c5(-11, -7, _S2 * -6, -_S2, 2),
-    _c5(33, 21, _S2 * 18, _S2 * 2, -6),
+    Coord5.of(34, 20, _S2 * 18, _S2 * 2, -5),
+    Coord5.of(18, 12, _S2 * 10, _S2 * 2, -3),
+    Coord5.of(29, 17, _S2 * 15, _S2 * 2, -6),
+    Coord5.of(-11, -7, _S2 * -6, -_S2, 2),
+    Coord5.of(33, 21, _S2 * 18, _S2 * 2, -6),
 ))
 
 BUILTIN_SEEDS = {"F0": F0, "F1": F1, "F7d": F7D}

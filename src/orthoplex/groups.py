@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .config import FMatrix, Q_F
 from .ring import Mat
@@ -143,25 +144,6 @@ def _stabilizer1() -> Dict[str, IntRows]:
              "S1674", "S1638", "S1278", "S1678")}
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
-    name: str
-    matrices: Tuple[Tuple[str, IntRows], ...]
-
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(lab for lab, _ in self.matrices)
-
-    def matrix(self, label: str) -> IntRows:
-        for lab, m in self.matrices:
-            if lab == label:
-                return m
-        raise KeyError(f"{self.name} has no generator {label!r}")
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
 _TABLES = {
     "Platonic": PLATONIC,
     "PlatonicOriented": _platonic_oriented(),
@@ -173,11 +155,13 @@ _TABLES = {
 }
 
 
-def generators(name: str) -> GeneratorTable:
+def generators(name: str) -> Mapping[str, IntRows]:
+    """The generator table ``name``, label to matrix in table order,
+    read-only."""
     if name not in _TABLES:
         raise KeyError(f"unknown generator table {name!r}; "
                        f"choose from {sorted(_TABLES)}")
-    return GeneratorTable(name, tuple(_TABLES[name].items()))
+    return MappingProxyType(_TABLES[name])
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,10 @@ class PackingReport:
     ``bends`` is the sorted set of bend values found at or below the cap.
     ``bend_multiplicity`` counts distinct spheres per bend in geometric
     mode; in bend mode sphere identity is not recoverable, so it counts
-    occurrences across the deduped states instead.
+    occurrences across the deduped states instead.  ``spheres``, in
+    geometric mode only, holds each distinct sphere once, ordered by its
+    exact channels: bend, then the rational and sqrt2 parts of a, xhat,
+    yhat and zhat.
     """
 
     mode: str
@@ -236,7 +239,8 @@ def _children(states: np.ndarray, cap: int,
               box: Optional[int] = None) -> Iterator[np.ndarray]:
     """The canonical states of the moves from ``states`` that create a bend
     at most ``cap`` and, with a ``box``, a sphere that passes the box test;
-    one C-contiguous batch per move pattern, duplicates included."""
+    one C-contiguous batch per move pattern, duplicates included.  The box
+    sees only the moves that pass the cap."""
     L = [states[:, k] for k in range(4)]
     M = states[:, 4]
     H = [2 * M - x for x in L]
@@ -248,11 +252,12 @@ def _children(states: np.ndarray, cap: int,
         top = np.maximum(np.maximum(kept[0], kept[1]),
                          np.maximum(kept[2], kept[3]))
         ok = (2 * mu2 - top)[:, 0] <= cap
-        if box is not None:
-            ok &= np.logical_or.reduce([_in_box(2 * mu2 - k, box)
-                                        for k in kept])
+        # compress: boolean indexing of (n, 1) arrays is slower
+        if box is not None and ok.any():
+            two_mu2 = 2 * mu2.compress(ok, axis=0)
+            ok[ok] = np.logical_or.reduce(
+                [_in_box(two_mu2 - k.compress(ok, axis=0), box) for k in kept])
         if ok.any():
-            # compress: boolean indexing of (n, 1) arrays is slower
             yield _canonical([k.compress(ok, axis=0) for k in kept],
                              mu2.compress(ok, axis=0))
 
@@ -335,11 +340,10 @@ def _generate_geom(spec: PackingSpec):
     # and benchmarks/workloads.Clock calls np.unique from a SIGALRM handler,
     # which recurses to a RecursionError if it lands inside that import
     distinct = set(map(tuple, np.concatenate(found).tolist()))
-    spheres = tuple(sorted(
-        (Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2), QSqrt2(y, y2),
-                QSqrt2(z, z2)).scale(Fraction(1, d))
-         for b, a, a2, x, x2, y, y2, z, z2 in distinct),
-        key=Coord5.serialize))
+    spheres = tuple(
+        Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2), QSqrt2(y, y2),
+               QSqrt2(z, z2)).scale(Fraction(1, d))
+        for b, a, a2, x, x2, y, y2, z, z2 in sorted(distinct))
     mult = Counter(row[0] // d for row in distinct)
     return mult, mult.get(0, 0), states, exhausted, spheres
 

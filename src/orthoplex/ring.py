@@ -293,20 +293,6 @@ class Mat:
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
-    def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [a - b for a, b in zip(self.entries, other.entries)])
-
-    def _same_shape(self, other: "Mat"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
     @property
     def shape(self):
         return (self.rows, self.cols)

@@ -83,7 +83,7 @@ def test_criterion_3_identity_suites():
             assert check_dgm(image)
     counted = 0
     for table in ("Platonic", "Apollonian", "Stabilizer1", "DualApollonian"):
-        for lab in groups.generators(table).labels:
+        for lab in groups.generators(table):
             ok, det = groups.verify_orthogonality(groups.element(table, (lab,)))
             assert ok and det in (1, -1)
             counted += 1

@@ -255,7 +255,7 @@ def test_small_matrix_words():
     ]
     assert len(cases) == 17
     for target, produced in cases:
-        assert target.projectively_equals(produced), target.entries()
+        assert target.projectively_equals(produced), target
         assert in_level2_subgroup(target)
 
 
@@ -394,8 +394,10 @@ def test_local_classes_examples():
 
 
 def reference_isotropic_at(q: QuaternaryForm, p: int):
-    """is_isotropic_at as it was before the square-root table was cached:
-    the table is rebuilt on every call."""
+    """is_isotropic_at as it was before its witnesses were taken directly
+    and its square-root table was cached: it searches seven vectors at
+    p = 2 and both degenerate eigenvectors at p dividing b, and rebuilds
+    the table on every call."""
     def ok(w):
         w = tuple(x % p for x in w)
         return w if any(w) and q.value(w) % p == 0 else None
@@ -569,6 +571,19 @@ def quaternary_forms(draw):
 def test_definiteness_matches_fraction_elimination(q):
     assert is_positive_definite(q) == fraction_positive_definite(q.matrix())
     assert discriminant(q) == 16 * leibniz_det(q.matrix()) == (2 * q.shift_b) ** 4
+
+
+@given(quaternary_forms())
+@settings(max_examples=300, deadline=None)
+@example(QuaternaryForm(A=1, B=0, C=0, D=1, shift_b=1))
+@example(QuaternaryForm(A=2, B=1, C=1, D=1, shift_b=0))
+@example(QuaternaryForm(A=-3, B=3, C=0, D=-6, shift_b=3))
+def test_direct_witnesses_match_the_searches(q):
+    # p = 2 and odd p dividing b, where is_isotropic_at takes its witness
+    # without a search
+    primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+    for p in [2] + [p for p in primes if q.shift_b % p == 0]:
+        assert is_isotropic_at(q, p) == reference_isotropic_at(q, p), (q, p)
 
 
 def test_bend_from_xi_identity_cases():

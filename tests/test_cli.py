@@ -284,6 +284,34 @@ def test_cap_below_seed_is_validation_error(capsys):
         assert_one_error_line(err)
 
 
+def test_qform_pmax_has_an_upper_bound(monkeypatch, capsys):
+    class SieveBuilt(Exception):
+        pass
+
+    def sieve(n):
+        raise SieveBuilt(n)
+
+    # the bound is checked before the sieve: 10^12 would exhaust memory
+    monkeypatch.setattr(cli.arithmetic, "primes_below", sieve)
+    for pmax in ("100001", str(10 ** 12)):
+        for extra in ([], ["--json"]):
+            code, out, err = run_cli(["qform", "--seed", "builtin:F1",
+                                      "--pmax", pmax] + extra, capsys)
+            assert code == 2 and out == "", pmax
+            assert f"--pmax must be at most 100000, got {pmax}" in err
+            assert_one_error_line(err)
+    with pytest.raises(SieveBuilt):
+        cli.run(["qform", "--seed", "builtin:F1", "--pmax", "100000"])
+
+
+def test_scan_out_of_budget_prints_nothing(capsys):
+    code, out, err = run_cli(["scan", "--seed", "builtin:F1", "--cap", "20",
+                              "--budget", "5"], capsys)
+    assert code == 3 and out == ""
+    assert err == ("budget exhausted before the frontier emptied; "
+                   "scan would under-report\n")
+
+
 def test_budget_exhaustion_exit_code(capsys):
     code, _, _ = run_cli(
         ["bends", "--seed", "builtin:F1", "--cap", "68", "--budget", "3"],

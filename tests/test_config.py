@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from orthoplex.config import (
     BendVector, DECOMPRESSION, F0, F1, F7D, FMatrix, antipodal, check_dgm,
     check_gramian, check_orthoplex_graph, complete_quadruple, descartes_form,
-    f_from_v, qsqrt2_sqrt, solve_b_mu, v_from_f,
+    VMatrix, f_from_v, qsqrt2_sqrt, solve_b_mu, v_from_f,
 )
 from orthoplex.groups import APOLLONIAN, element, apply
-from orthoplex.inversive import mobius_inversion, mobius_rescale, mobius_translate
+from orthoplex.inversive import (
+    HonestSphere, coords_from_sphere, mobius_inversion, mobius_rescale,
+    mobius_translate,
+)
 from orthoplex.ring import Mat, QSqrt2, SQRT2
 
 from conftest import coord5, random_apollonian_word
@@ -49,6 +52,24 @@ def test_round_trip_f_and_v():
     for f in (F0, F1, F7D):
         assert f_from_v(v_from_f(f)) == f
     assert check_orthoplex_graph(v_from_f(F7D))
+
+
+def test_orthoplex_graph_rejects_misplaced_spheres():
+    # swapping rows 1 and 2 puts the tangent spheres 2 and 5 where a
+    # disjoint pair belongs, the first pair the check meets; swapping rows
+    # 2 and 5 first puts the disjoint spheres 1 and 5 where a tangent pair
+    # belongs
+    for f in (F0, F1, F7D):
+        rows = v_from_f(f).rows
+        assert check_orthoplex_graph(VMatrix(rows))
+        for i, j in ((0, 1), (1, 4)):
+            swapped = list(rows)
+            swapped[i], swapped[j] = rows[j], rows[i]
+            assert not check_orthoplex_graph(VMatrix(tuple(swapped))), (i, j)
+    # eight disjoint unit spheres fail only the tangent test
+    apart = VMatrix(tuple(coords_from_sphere(HonestSphere((4 * k, 0, 0), 1))
+                          for k in range(8)))
+    assert not check_orthoplex_graph(apart)
 
 
 def test_decompression_literal():

@@ -29,16 +29,16 @@ def test_unknown_table_rejected():
 
 
 def test_literal_spot_checks():
-    assert generators("Apollonian").matrix("S1234") == (
+    assert generators("Apollonian")["S1234"] == (
         (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
         (0, 0, 0, 1, 0), (1, 1, 1, 1, -1))
-    assert generators("Platonic").matrix("R4")[3] == (0, 0, 0, -1, 2)
-    assert generators("DualApollonian").matrix("S5")[0] == (-5, 0, 0, 0, 12)
+    assert generators("Platonic")["R4"][3] == (0, 0, 0, -1, 2)
+    assert generators("DualApollonian")["S5"][0] == (-5, 0, 0, 0, 12)
 
 
 def test_every_generator_orthogonal_with_unit_det():
     for table in ("Platonic", "Apollonian", "Stabilizer1", "DualApollonian"):
-        for lab in generators(table).labels:
+        for lab in generators(table):
             ok, det = verify_orthogonality(element(table, (lab,)))
             assert ok and det == -1, (table, lab)
 
@@ -46,7 +46,7 @@ def test_every_generator_orthogonal_with_unit_det():
 def test_oriented_generators_have_det_plus_one():
     for table in ("PlatonicOriented", "ApollonianOriented",
                   "Stabilizer1Oriented"):
-        for lab in generators(table).labels:
+        for lab in generators(table):
             ok, det = verify_orthogonality(element(table, (lab,)))
             assert ok and det == 1, (table, lab)
 
@@ -113,8 +113,8 @@ def test_adjacent_configuration_table():
 
 
 def test_stabilizer_oriented_literals():
-    assert generators("Stabilizer1Oriented").matrix("S678")[4] == (6, -4, -4, -4, 19)
-    s238 = generators("Stabilizer1Oriented").matrix("S238")
+    assert generators("Stabilizer1Oriented")["S678"][4] == (6, -4, -4, -4, 19)
+    s238 = generators("Stabilizer1Oriented")["S238"]
     assert s238[:3] == ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0))
     assert s238[3] == (2, 2, 2, -1, 0)
     assert s238[4] == (2, 2, 2, 0, -1)

@@ -10,7 +10,7 @@ import pytest
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
 from orthoplex.config import F0, F1, F7D, BendVector
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import Coord5, classify_pair
+from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
     DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
@@ -323,7 +323,9 @@ def test_geometric_walk_matches_reference():
             rep = generate(PackingSpec(seed=seed, bend_cap=cap, mode="geom",
                                        budget=budget))
             assert rep.states == states <= budget
-            assert rep.spheres == tuple(sorted(spheres, key=Coord5.serialize))
+            assert rep.spheres == tuple(sorted(spheres, key=lambda v: (
+                v.b.rat, v.a.rat, v.a.irr, v.xhat.rat, v.xhat.irr,
+                v.yhat.rat, v.yhat.irr, v.zhat.rat, v.zhat.irr)))
             assert rep.bend_multiplicity == dict(mult)
             assert rep.classification == reference_classification(mult)
             assert rep.frontier_exhausted == exhausted
