@@ -12,8 +12,14 @@ needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.
 
 The canonical form of a state takes the lexicographically smaller row of
 each pair, the four in lexicographic order, then mu (for C = 1, a plain
-minimum and sort).  States are deduped on the exact bytes of that form,
-so two distinct states never share a key.
+minimum and sort).  States are deduped on an exact key of that form, so
+two distinct states never share a key.  Bend walks (C = 1: ``bends``,
+``scan``, bend-mode ``gen`` and ``orbit_bend_vectors``) pack the five
+values of each state into one int64, as digits in base ``_KEY_BASE``
+above the least value seen, ``low``; that is exact only while every value
+lies in [low, low + _KEY_BASE), and a walk whose values outgrow that range
+switches, for the rest of the walk, to the exact bytes of each state,
+which geometric walks use throughout (``_Visited``).
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
@@ -56,6 +62,10 @@ _MASKS = tuple(itertools.product((0, 1), repeat=4))
 # keeps below 11 * 2**27, and (11 * 2**27)**2 < 2**63.
 _INT64_HEADROOM = 2 ** 58
 _BOX_HEADROOM = 2 ** 22
+
+# The base of the packed keys of bend-walk states (``_Visited``): the
+# largest B with B**5 < 2**63, so five digits in [0, B) fit one int64.
+_KEY_BASE = 6208
 
 
 class WalkInputError(ValueError):
@@ -262,35 +272,126 @@ def _children(states: np.ndarray, cap: int,
                              mu2.compress(ok, axis=0))
 
 
+class _Visited:
+    """The canonical states a walk has seen, and the dedupe of each level
+    against them.
+
+    A C = 1 state (lo0 <= lo1 <= lo2 <= lo3 <= mu) is held as one int64
+    key, its five values less ``low`` as digits in base ``_KEY_BASE``.  The
+    keys are packed only while every value the walk has seen lies in
+    [low, low + _KEY_BASE): then a key is exact, injective and ordered like
+    its state, and ``keys`` is kept sorted.  ``low`` is the least value
+    seen; when a batch goes below it, every key held moves with it.  A
+    batch that would stretch the values over ``_KEY_BASE`` switches the
+    walk, for good, to ``seen``: the exact bytes of each state in a set,
+    which geometric states (C = 9) use from the start.
+    """
+
+    def __init__(self, start: np.ndarray):
+        self.shape = start.shape[1:]
+        self.void = f"V{start[0].nbytes}"
+        self.low, self.high = int(start.min()), int(start.max())
+        self.keys: Optional[np.ndarray] = None
+        self.seen: Optional[Set[bytes]] = None
+        if self.shape[1] == 1 and self.high - self.low < _KEY_BASE:
+            self.keys = self._pack(start)
+        else:
+            self.seen = set(self._voids(start))
+
+    def _voids(self, states: np.ndarray) -> list:
+        """The bytes of each state: ``tolist`` of a void view of each row,
+        equal to ``row.tobytes()``."""
+        return states.reshape(len(states), -1).view(self.void).ravel().tolist()
+
+    def _pack(self, states: np.ndarray) -> np.ndarray:
+        powers = _KEY_BASE ** np.arange(4, -1, -1, dtype=np.int64)
+        return (states[:, :, 0] - self.low) @ powers
+
+    def _unpack(self, keys: np.ndarray) -> np.ndarray:
+        states = np.empty((len(keys), 5, 1), dtype=np.int64)
+        for j in range(4, -1, -1):
+            keys, states[:, j, 0] = np.divmod(keys, _KEY_BASE)
+        states += self.low
+        return states
+
+    def _widen(self, states: np.ndarray, level: List[np.ndarray]) -> bool:
+        """Whether the values of ``states`` and every value seen lie in one
+        key range; if so, take it, moving ``keys`` and this ``level``'s keys
+        when ``low`` falls.  The span is checked first: the shift of a wider
+        one overflows int64."""
+        low = min(self.low, int(states.min()))
+        high = max(self.high, int(states.max()))
+        if high - low >= _KEY_BASE:
+            return False
+        if low < self.low:
+            shift = (self.low - low) * sum(_KEY_BASE ** j for j in range(5))
+            for keys in [self.keys] + level:
+                keys += shift
+        self.low, self.high = low, high
+        return True
+
+    def fresh(self, batches: Iterator[np.ndarray]) -> np.ndarray:
+        """The states of ``batches`` not seen before, now seen, (m, 5, C)."""
+        if self.keys is not None:
+            level: List[np.ndarray] = []
+            for kids in batches:
+                if not self._widen(kids, level):
+                    # switch: this level's keys so far become one more batch
+                    held = [self._unpack(k) for k in level]
+                    self.seen = set(self._voids(self._unpack(self.keys)))
+                    self.keys = None
+                    batches = itertools.chain(held, [kids], batches)
+                    break
+                level.append(self._pack(kids))
+            else:
+                return self._unpack(self._merge(level))
+        fresh = []
+        for kids in batches:
+            keys = set(self._voids(kids))
+            keys -= self.seen
+            self.seen |= keys
+            fresh += keys
+        return np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(
+            -1, *self.shape)
+
+    def _merge(self, level: List[np.ndarray]) -> np.ndarray:
+        """The sorted distinct keys of ``level`` not in ``keys``, now in
+        it.  Sorting and a neighbour mask, not ``np.unique``: that imports
+        ``numpy.ma``."""
+        keys = np.sort(np.concatenate(level or [self.keys[:0]]))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        at = np.searchsorted(self.keys, keys)
+        new = self.keys[np.minimum(at, len(self.keys) - 1)] != keys
+        keys = keys[new]
+        self.keys = np.insert(self.keys, at[new], keys)
+        return keys
+
+
 def _walk(rows: List[List[int]], cap: int, budget: int,
           reduce: Callable[[np.ndarray], object],
           box: Optional[int] = None) -> Tuple[list, int, bool]:
     """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
     (C ints each): ``reduce`` of each whole level taken while the state
     count stays within ``budget``, that count, and whether the frontier
-    emptied.  Row order within a level is unspecified."""
+    emptied.  Each level is deduped against every state seen (``_Visited``:
+    packed int64 keys for bend walks while their values fit, else bytes).
+    Row order within a level is unspecified."""
     headroom = _INT64_HEADROOM if box is None else _BOX_HEADROOM
     _check_headroom(max(abs(x) for row in rows for x in row), headroom)
     seed = np.array(rows, dtype=np.int64)
     frontier = _canonical([seed[k:k + 1] for k in range(4)], seed[4:])
-    key = f"V{frontier[0].nbytes}"
-    visited = {frontier.tobytes()}
+    visited = _Visited(frontier)
     out, taken = [], 0
     while True:
         if taken + len(frontier) > budget:
             return out, taken, False
         taken += len(frontier)
         out.append(reduce(frontier))
-        fresh = []
-        for kids in _children(frontier, cap, box):
-            keys = set(kids.reshape(len(kids), -1).view(key).ravel().tolist())
-            keys -= visited
-            visited |= keys
-            fresh += keys
-        if not fresh:
+        frontier = visited.fresh(_children(frontier, cap, box))
+        if not len(frontier):
             return out, taken, True
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(
-            -1, *seed.shape)
         _check_headroom(int(np.abs(frontier).max()), headroom)
 
 
@@ -369,7 +470,8 @@ def orbit_bend_vectors(seed: FMatrix, cap: int,
 
 def missing_admissible(report: PackingReport, up_to: int,
                        start: Optional[int] = None) -> List[int]:
-    """Admissible integers in [start, up_to] absent from the bend set."""
+    """Admissible integers in [start, up_to] absent from the bend set.  The
+    range must lie in [min bend, cap]: no bend lies below the least one."""
     if not report.frontier_exhausted:
         raise ValueError("refusing a non-exhausted report: its bend set "
                          "may be incomplete")
@@ -378,6 +480,9 @@ def missing_admissible(report: PackingReport, up_to: int,
                          f"{report.bend_cap}")
     if start is None:
         start = report.min_bend
+    if start < report.min_bend:
+        raise ValueError(f"scan start {start} is below the smallest bend "
+                         f"{report.min_bend}")
     if start > up_to:
         raise ValueError(f"scan range [{start}, {up_to}] is empty: its start "
                          "exceeds its end")

@@ -271,6 +271,10 @@ def test_cap_below_seed_is_validation_error(capsys):
           "--to", "10"], "start exceeds its end"),
         (["scan", "--seed", "builtin:F1", "--cap", "20", "--to", "21"],
          "exceeds the report cap"),
+        (["scan", "--seed", "builtin:F1", "--cap", "30", "--from",
+          "-100000000000000000000"], "is below the smallest bend -1"),
+        (["scan", "--seed", "builtin:F1", "--cap", "30", "--from", "-2",
+          "--json"], "is below the smallest bend -1"),
         (["qform", "--seed", "builtin:F1", "--pmax", "-3"],
          "--pmax must be at least 2"),
         (["qform", "--seed", "builtin:F1", "--pmax", "0"],

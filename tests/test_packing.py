@@ -3,10 +3,14 @@ import json
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthoplex import packing
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
 from orthoplex.config import F0, F1, F7D, BendVector
 from orthoplex.groups import APOLLONIAN, apply, element
@@ -76,6 +80,13 @@ def test_missing_admissible_rejects_bound_above_cap():
     rep = run(F1, 30)
     with pytest.raises(ValueError):
         missing_admissible(rep, 31)
+
+
+def test_missing_admissible_rejects_start_below_min_bend():
+    rep = run(F1, 30)
+    assert missing_admissible(rep, 30, start=-1) == [0]
+    with pytest.raises(ValueError, match="below the smallest bend -1"):
+        missing_admissible(rep, 30, start=-2)
 
 
 def test_classification():
@@ -224,6 +235,79 @@ def test_integer_engine_matches_reference_on_images():
                 rep = assert_matches_reference(image, max(own_min, 68), budget)
                 went_below += rep.bends[0] < own_min
     assert went_below
+
+
+@pytest.mark.parametrize("letters", [8, 10, 12, 20])
+def test_wide_span_starts_match_reference(letters):
+    # the generators in table order: the start's values span 12,684 or more,
+    # past the packed key range, so the walk dedupes on bytes from the start;
+    # at the cap of its largest bend the walk comes back to the start
+    image = apply(element("Apollonian", list(APOLLONIAN)[:letters]), F1)
+    bends = image.bend_vector().bends8()
+    for cap in (min(bends), min(bends) + 500, max(bends)):
+        for budget in (5, 200, 50):
+            assert_matches_reference(image, cap, budget)
+
+
+def test_walk_switches_to_bytes_mid_walk(monkeypatch):
+    # a base of 64 packs builtin F1's start, (-1, 2, 2, 3, 3), and its first
+    # level; the third level outgrows it after some of its batches are
+    # packed, and the walk finishes on bytes.  A budget of 62 ends the walk
+    # on that level.
+    monkeypatch.setattr(packing, "_KEY_BASE", 64)
+    packed = []
+    fresh = packing._Visited.fresh
+
+    def spy(self, batches):
+        packed.append(self.keys is not None)
+        return fresh(self, batches)
+
+    monkeypatch.setattr(packing._Visited, "fresh", spy)
+    for budget in (10 ** 7, 62, 600):
+        assert_matches_reference(F1, 250, budget)
+    assert packed[:3] == [True, True, False]
+
+
+_VALUES = st.integers(-40, 40)
+_STATE = st.tuples(*[_VALUES] * 5)
+
+
+@given(st.sampled_from([16, 64, 6208]), _STATE,
+       st.lists(st.lists(st.lists(_STATE, min_size=1, max_size=6),
+                         max_size=4), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_visited_dedupes_like_a_set(base, start, levels):
+    # batches of arbitrary states against a set of tuples: new lows mid-level
+    # move the keys held, spans past the base switch to bytes, and the start
+    # comes back in the first level
+    with mock.patch.object(packing, "_KEY_BASE", base):
+        visited = packing._Visited(
+            np.array([start], dtype=np.int64)[:, :, None])
+        seen = {start}
+        for k, level in enumerate(levels):
+            batches = [np.array(b, dtype=np.int64)[:, :, None] for b in level]
+            if k == 0:
+                batches.append(np.array([start], dtype=np.int64)[:, :, None])
+            got = visited.fresh(iter(batches))[:, :, 0].tolist()
+            want = {s for b in level for s in b} - seen
+            seen |= want
+            assert sorted(map(tuple, got)) == sorted(want)
+
+
+@given(st.integers(-2 ** 40, 2 ** 40),
+       st.lists(st.tuples(*[st.integers(0, packing._KEY_BASE - 1)] * 5),
+                min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_round_trip(low, digits):
+    # pack then unpack is the identity on states within [low, low + B), and
+    # keys are distinct and ordered exactly as their states are
+    visited = packing._Visited(np.full((1, 5, 1), low, dtype=np.int64))
+    states = np.array(digits, dtype=np.int64)[:, :, None] + low
+    keys = visited._pack(states)
+    assert np.array_equal(visited._unpack(keys), states)
+    pairs = itertools.combinations(zip(digits, keys.tolist()), 2)
+    for (s, k), (t, j) in pairs:
+        assert (s < t) == (k < j) and (s == t) == (k == j)
 
 
 def test_int64_headroom_guard():
