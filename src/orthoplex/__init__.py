@@ -2,7 +2,6 @@
 
 from .config import BUILTIN_SEEDS, F0, F1, F7D, FMatrix, VMatrix
 from .inversive import Coord5, HonestSphere, PlanarSphere
-from .packing import PackingReport, PackingSpec, generate
 from .ring import Mat, QSqrt2
 
 __version__ = "0.1.0"
@@ -13,3 +12,11 @@ __all__ = [
     "PackingReport", "PackingSpec", "generate",
     "Mat", "QSqrt2",
 ]
+
+
+def __getattr__(name: str):
+    # the walks load on first use: only they need numpy (PEP 562)
+    if name in ("PackingReport", "PackingSpec", "generate"):
+        from . import packing
+        return getattr(packing, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,9 +11,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .config import BendVector, descartes_form
+from .config import BendVector, FMatrix, descartes_form
 from .groups import GroupElement, IntRows, _rows
 from .ring import Mat
 
@@ -66,6 +66,30 @@ def epsilon_of(bends8: Sequence[int]) -> ObstructionClass:
         f"no valid epsilon: bends {tuple(bends8)} do not reduce to a "
         "primitive configuration pattern mod 4"
     )
+
+
+class WalkInputError(ValueError):
+    """A seed, cap or budget that the walks cannot run on."""
+
+
+def seed_bend_vector(seed: FMatrix) -> BendVector:
+    try:
+        return seed.bend_vector()
+    except ValueError:
+        raise WalkInputError(
+            "bend walks and the mod-4 obstruction need an integral seed"
+        ) from None
+
+
+def seed_obstruction(seed: FMatrix) -> Tuple[BendVector, ObstructionClass]:
+    """The integral bend vector of ``seed`` and its mod-4 obstruction,
+    which is defined only for primitive configurations."""
+    bv = seed_bend_vector(seed)
+    if not bv.is_primitive():
+        raise WalkInputError(
+            "the mod-4 obstruction needs a primitive seed: its bends "
+            f"{tuple(bv)} share a factor")
+    return bv, epsilon_of(bv.bends8())
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +504,7 @@ def _two_squares(p: int, r: int) -> Tuple[int, int]:
             return u1, u2
 
 
-def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
+def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Tuple[int, ...]]:
     """Whether the form has a nonzero root mod p, with a verified witness.
 
     A, B, C and D are reduced mod p once, and every witness is checked

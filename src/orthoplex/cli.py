@@ -15,7 +15,7 @@ import json
 import sys
 from typing import List, Optional
 
-from . import arithmetic, config, groups, packing
+from . import arithmetic, groups
 from .config import BUILTIN_SEEDS, FMatrix, check_dgm, check_gramian
 
 SCHEMA_VERSION = 1
@@ -78,7 +78,10 @@ def _emit(doc: dict, lines: List[str], args):
             sys.stdout.write(line + "\n")
 
 
-def _run_packing(args, mode: str) -> packing.PackingReport:
+def _run_packing(args, mode: str):
+    """The report of a walk; the walk commands alone import ``packing``,
+    and with it numpy."""
+    from . import packing
     seed = _load_seed(args.seed)
     budget = packing.resolve_budget(getattr(args, "budget", None))
     return packing.generate(packing.PackingSpec(
@@ -113,6 +116,7 @@ def cmd_bends(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from . import packing
     report = _run_packing(args, "bend")
     if not report.frontier_exhausted:
         print("budget exhausted before the frontier emptied; "
@@ -142,7 +146,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    _, obs = packing._seed_obstruction(_load_seed(args.seed))
+    _, obs = arithmetic.seed_obstruction(_load_seed(args.seed))
     doc = {"schema_version": SCHEMA_VERSION, "command": "obstruct",
            "seed": args.seed, "epsilon": obs.epsilon,
            "forbidden_residue": obs.forbidden_residue}
@@ -193,11 +197,10 @@ def cmd_qform(args) -> int:
         q = arithmetic.qform_from_bend_vector(bv)
     except ValueError as e:
         raise CliError(str(e))
-    iso = []
-    for p in arithmetic.primes_below(args.pmax):
-        good, wit = arithmetic.is_isotropic_at(q, p)
-        iso.append({"p": p, "isotropic": good,
-                    "witness": list(wit) if wit else None})
+    # a quaternary form has a nonzero root mod every prime
+    iso = [{"p": p, "isotropic": True,
+            "witness": list(arithmetic.is_isotropic_at(q, p)[1])}
+           for p in arithmetic.primes_below(args.pmax)]
     classes = sorted(arithmetic.local_classes(q))
     doc = {"schema_version": SCHEMA_VERSION, "command": "qform",
            "seed": args.seed, "ordering": args.ordering,
@@ -217,8 +220,7 @@ def cmd_qform(args) -> int:
         f"values mod 4 on the congruence lattice: {classes}",
         "isotropy below p = " + str(args.pmax) + ":",
     ]
-    lines += [f"  p={e['p']}: {'isotropic' if e['isotropic'] else 'anisotropic'}"
-              + (f" witness {tuple(e['witness'])}" if e["witness"] else "")
+    lines += [f"  p={e['p']}: isotropic witness {tuple(e['witness'])}"
               for e in iso]
     _emit(doc, lines, args)
     return 0
@@ -300,6 +302,7 @@ def cmd_groups(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import packing
     report = _run_packing(args, "geom")
     try:
         blob = packing.export_scene(report, args.format)
@@ -400,7 +403,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, packing.WalkInputError) as e:
+    except (CliError, arithmetic.WalkInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

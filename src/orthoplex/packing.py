@@ -1,25 +1,31 @@
 """Orbit enumeration for orthoplicial Apollonian packings.
 
 One numpy kernel walks both modes.  A state is four disjoint pairs of
-spheres and their antipodal row mu, stored as an int64 array (5, C): one
-sphere of each pair, then mu, each row C channels with the bend first.
-A move keeps one sphere per pair and replaces the rest.  Bend mode and
-``orbit_bend_vectors`` walk bends alone (C = 1).  Geometric mode walks
-C = 9 channels, the bend and then the rational and sqrt2 parts of a,
-xhat, yhat and zhat, all times the seed's common denominator; it also
+spheres and their antipodal row mu: one sphere of each pair, then mu, each
+row C int64 channels with the bend first.  A level of n states is held
+slot-major, as an array (5, n, C) whose slot k < 4 holds the sphere of
+pair k of every state and slot 4 every mu, each slot one contiguous
+(n, C) block, so a move works on whole slots.  A move keeps one sphere
+per pair and replaces the rest; the 16 moves from a level run one after
+another, each flipping one kept sphere of the move before it.  Bend mode
+and ``orbit_bend_vectors`` walk bends alone (C = 1).  Geometric mode
+walks C = 9 channels, the bend and then the rational and sqrt2 parts of
+a, xhat, yhat and zhat, all times the seed's common denominator; it also
 needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.
 ``QSqrt2`` arithmetic only scales its seed in and its spheres out.
 
 The canonical form of a state takes the lexicographically smaller row of
-each pair, the four in lexicographic order, then mu (for C = 1, a plain
-minimum and sort).  States are deduped on an exact key of that form, so
-two distinct states never share a key.  Bend walks (C = 1: ``bends``,
-``scan``, bend-mode ``gen`` and ``orbit_bend_vectors``) pack the five
-values of each state into one int64, as digits in base ``_KEY_BASE``
-above the least value seen, ``low``; that is exact only while every value
-lies in [low, low + _KEY_BASE), and a walk whose values outgrow that range
-switches, for the rest of the walk, to the exact bytes of each state,
-which geometric walks use throughout (``_Visited``).
+each pair, the four in lexicographic order, then mu (for C = 1, the
+elementwise minimum of each pair and a five-comparator min/max sorting
+network over the four slots).  States are deduped on an exact key of that
+form, so two distinct states never share a key.  Bend walks (C = 1:
+``bends``, ``scan``, bend-mode ``gen`` and ``orbit_bend_vectors``) pack
+the five values of each state into one int64, as digits in base
+``_KEY_BASE`` above the least value seen, ``low``, by Horner's rule
+straight from the slots of each move's batch; that is exact only while
+every value lies in [low, low + _KEY_BASE), and a walk whose values
+outgrow that range switches, for the rest of the walk, to the exact bytes
+of each state, which geometric walks use throughout (``_Visited``).
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
@@ -46,7 +52,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .arithmetic import ObstructionClass, epsilon_of
+# epsilon_of is bound here for benchmarks/tracer.py, which counts a traced
+# function's calls by patching every module that binds it
+from .arithmetic import (  # noqa: F401
+    ObstructionClass, WalkInputError, epsilon_of, seed_bend_vector,
+    seed_obstruction)
 from .config import BendVector, FMatrix
 from .inversive import Coord5, HonestSphere, sphere_from_coords
 from .ring import QSqrt2
@@ -54,7 +64,10 @@ from .ring import QSqrt2
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_BOX = 10
 
-_MASKS = tuple(itertools.product((0, 1), repeat=4))
+# The 16 moves from a state, each keeping one sphere of every pair, in Gray
+# code order: move i swaps the sphere that move i - 1 keeps of pair
+# _FLIPS[i] for its partner (move 0 keeps the lesser sphere of every pair).
+_FLIPS = (None, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0)
 
 # Largest |value| a frontier may hold.  A move computes 2*(sum(kept) - mu)
 # - kept with |kept| <= 3*|value|, within 29*|value| < 2**63.  The 10x box
@@ -66,10 +79,6 @@ _BOX_HEADROOM = 2 ** 22
 # The base of the packed keys of bend-walk states (``_Visited``): the
 # largest B with B**5 < 2**63, so five digits in [0, B) fit one int64.
 _KEY_BASE = 6208
-
-
-class WalkInputError(ValueError):
-    """A seed, cap or budget that the walks cannot run on."""
 
 
 class CapBelowSeedError(WalkInputError):
@@ -140,26 +149,6 @@ class PackingReport:
         return out
 
 
-def _seed_bend_vector(seed: FMatrix) -> BendVector:
-    try:
-        return seed.bend_vector()
-    except ValueError:
-        raise WalkInputError(
-            "bend walks and the mod-4 obstruction need an integral seed"
-        ) from None
-
-
-def _seed_obstruction(seed: FMatrix) -> Tuple[BendVector, ObstructionClass]:
-    """The integral bend vector of ``seed`` and its mod-4 obstruction,
-    which is defined only for primitive configurations."""
-    bv = _seed_bend_vector(seed)
-    if not bv.is_primitive():
-        raise WalkInputError(
-            "the mod-4 obstruction needs a primitive seed: its bends "
-            f"{tuple(bv)} share a factor")
-    return bv, epsilon_of(bv.bends8())
-
-
 def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
     if len(negative_values) == 1 and zero_spheres == 0:
         return "bounded"
@@ -171,7 +160,7 @@ def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
 
 
 def generate(spec: PackingSpec) -> PackingReport:
-    bv, obs = _seed_obstruction(spec.seed)
+    bv, obs = seed_obstruction(spec.seed)
     low = min(bv.bends8())
     if spec.bend_cap < low:
         raise CapBelowSeedError(
@@ -212,20 +201,40 @@ def _lex_sorted(rows: np.ndarray, size: int) -> np.ndarray:
     return rows[np.lexsort(tuple(rows.T[::-1]) + (run,))]
 
 
+def _sort4(x: List[np.ndarray], out: np.ndarray):
+    """Sort the four arrays ``x`` elementwise into ``out[:4]`` by a min/max
+    network on the pairs (0, 1), (2, 3), (0, 2), (1, 3), (1, 2).  ``x`` is
+    scratch: each maximum is taken before the minimum that overwrites its
+    input, so the network allocates nothing."""
+    s0, s1, s2, s3 = out[:4]
+    np.minimum(x[0], x[1], out=s0)
+    np.maximum(x[0], x[1], out=s1)
+    np.minimum(x[2], x[3], out=s2)
+    np.maximum(x[2], x[3], out=s3)
+    c, b = x[:2]
+    np.maximum(s0, s2, out=c)
+    np.minimum(s0, s2, out=s0)
+    np.minimum(s1, s3, out=b)
+    np.maximum(s1, s3, out=s3)
+    np.minimum(b, c, out=s1)
+    np.maximum(b, c, out=s2)
+
+
 def _canonical(kept: List[np.ndarray], mu: np.ndarray) -> np.ndarray:
-    """The canonical states, shape (m, 5, C), of the configurations with
-    antipodal rows ``mu`` that hold the sphere rows ``kept[k]``, one of
-    each pair, each (m, C)."""
-    two_mu = 2 * mu
-    if mu.shape[1] == 1:  # the same form, several times faster
-        lo = np.sort(np.concatenate([np.minimum(k, two_mu - k) for k in kept],
-                                    axis=1), axis=1)
-        return np.concatenate([lo, mu], axis=1)[:, :, None]
+    """The canonical states, slot-major (5, m, C), of the configurations
+    with antipodal rows ``mu`` that hold the sphere rows ``kept[k]``, one
+    of each pair, each (m, C)."""
     m, width = mu.shape
+    states = np.empty((5, m, width), dtype=np.int64)
+    states[4] = mu
+    two_mu = 2 * mu
+    if width == 1:  # the same form, several times faster
+        _sort4([np.minimum(k, two_mu - k) for k in kept], states)
+        return states
     pairs = np.stack([x for k in kept for x in (k, two_mu - k)], axis=1)
     lo = _lex_sorted(pairs.reshape(-1, width), 2)[::2]
-    return np.concatenate([_lex_sorted(lo, 4).reshape(m, 4, width),
-                           mu[:, None]], axis=1)
+    states[:4] = _lex_sorted(lo, 4).reshape(m, 4, width).swapaxes(0, 1)
+    return states
 
 
 def _nonneg(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -249,32 +258,36 @@ def _children(states: np.ndarray, cap: int,
               box: Optional[int] = None) -> Iterator[np.ndarray]:
     """The canonical states of the moves from ``states`` that create a bend
     at most ``cap`` and, with a ``box``, a sphere that passes the box test;
-    one C-contiguous batch per move pattern, duplicates included.  The box
-    sees only the moves that pass the cap."""
-    L = [states[:, k] for k in range(4)]
-    M = states[:, 4]
+    one batch per move pattern, duplicates included.  The box sees only the
+    moves that pass the cap."""
+    L, M = list(states[:4]), states[4]
     H = [2 * M - x for x in L]
-    for mask in _MASKS:
-        kept = [H[k] if mask[k] else L[k] for k in range(4)]
-        mu2 = kept[0] + kept[1] + kept[2] + kept[3] - M
+    kept = list(L)
+    mu2 = L[0] + L[1] + L[2] + L[3] - M  # sum(kept) - M, kept in step
+    for k in _FLIPS:
+        if k is not None:
+            old = kept[k]
+            kept[k] = H[k] if old is L[k] else L[k]
+            mu2 += kept[k]
+            mu2 -= old
         # the new spheres are 2*mu2 - kept; the smallest bend pairs with
         # the largest kept one
-        top = np.maximum(np.maximum(kept[0], kept[1]),
-                         np.maximum(kept[2], kept[3]))
-        ok = (2 * mu2 - top)[:, 0] <= cap
-        # compress: boolean indexing of (n, 1) arrays is slower
-        if box is not None and ok.any():
-            two_mu2 = 2 * mu2.compress(ok, axis=0)
-            ok[ok] = np.logical_or.reduce(
-                [_in_box(two_mu2 - k.compress(ok, axis=0), box) for k in kept])
-        if ok.any():
-            yield _canonical([k.compress(ok, axis=0) for k in kept],
-                             mu2.compress(ok, axis=0))
+        top = np.maximum(np.maximum(kept[0][:, 0], kept[1][:, 0]),
+                         np.maximum(kept[2][:, 0], kept[3][:, 0]))
+        at = np.flatnonzero(2 * mu2[:, 0] - top <= cap)
+        if box is not None and len(at):
+            two_mu2 = 2 * mu2.take(at, axis=0)
+            at = at[np.logical_or.reduce(
+                [_in_box(two_mu2 - k.take(at, axis=0), box) for k in kept])]
+        if len(at):
+            yield _canonical([k.take(at, axis=0) for k in kept],
+                             mu2.take(at, axis=0))
 
 
 class _Visited:
     """The canonical states a walk has seen, and the dedupe of each level
-    against them.
+    against them.  States come and go slot-major, (5, m, C): the four
+    sphere rows, then mu, each slot a contiguous (m, C) block.
 
     A C = 1 state (lo0 <= lo1 <= lo2 <= lo3 <= mu) is held as one int64
     key, its five values less ``low`` as digits in base ``_KEY_BASE``.  The
@@ -288,8 +301,8 @@ class _Visited:
     """
 
     def __init__(self, start: np.ndarray):
-        self.shape = start.shape[1:]
-        self.void = f"V{start[0].nbytes}"
+        self.shape = start.shape[::2]  # (5, C), the shape of one state
+        self.void = f"V{start[:, 0].nbytes}"
         self.low, self.high = int(start.min()), int(start.max())
         self.keys: Optional[np.ndarray] = None
         self.seen: Optional[Set[bytes]] = None
@@ -299,18 +312,26 @@ class _Visited:
             self.seen = set(self._voids(start))
 
     def _voids(self, states: np.ndarray) -> list:
-        """The bytes of each state: ``tolist`` of a void view of each row,
-        equal to ``row.tobytes()``."""
-        return states.reshape(len(states), -1).view(self.void).ravel().tolist()
+        """The bytes of each state, its slots in order: ``tolist`` of a
+        void view of each state-major row."""
+        rows = np.ascontiguousarray(states.swapaxes(0, 1))
+        return rows.reshape(len(rows), -1).view(self.void).ravel().tolist()
 
     def _pack(self, states: np.ndarray) -> np.ndarray:
-        powers = _KEY_BASE ** np.arange(4, -1, -1, dtype=np.int64)
-        return (states[:, :, 0] - self.low) @ powers
+        """The keys of ``states``, by Horner's rule on the digits
+        (value - low) of their slots; every partial key is below B**5."""
+        keys = states[0, :, 0] - self.low
+        digit = np.empty_like(keys)
+        for slot in states[1:, :, 0]:
+            np.subtract(slot, self.low, out=digit)
+            keys *= _KEY_BASE
+            keys += digit
+        return keys
 
     def _unpack(self, keys: np.ndarray) -> np.ndarray:
-        states = np.empty((len(keys), 5, 1), dtype=np.int64)
+        states = np.empty((5, len(keys), 1), dtype=np.int64)
         for j in range(4, -1, -1):
-            keys, states[:, j, 0] = np.divmod(keys, _KEY_BASE)
+            keys, states[j, :, 0] = np.divmod(keys, _KEY_BASE)
         states += self.low
         return states
 
@@ -331,7 +352,7 @@ class _Visited:
         return True
 
     def fresh(self, batches: Iterator[np.ndarray]) -> np.ndarray:
-        """The states of ``batches`` not seen before, now seen, (m, 5, C)."""
+        """The states of ``batches`` not seen before, now seen."""
         if self.keys is not None:
             level: List[np.ndarray] = []
             for kids in batches:
@@ -343,6 +364,7 @@ class _Visited:
                     batches = itertools.chain(held, [kids], batches)
                     break
                 level.append(self._pack(kids))
+                del kids  # free each batch before the next one is made
             else:
                 return self._unpack(self._merge(level))
         fresh = []
@@ -351,8 +373,9 @@ class _Visited:
             keys -= self.seen
             self.seen |= keys
             fresh += keys
-        return np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(
-            -1, *self.shape)
+        rows = np.frombuffer(b"".join(fresh), dtype=np.int64)
+        return np.ascontiguousarray(
+            rows.reshape(-1, *self.shape).swapaxes(0, 1))
 
     def _merge(self, level: List[np.ndarray]) -> np.ndarray:
         """The sorted distinct keys of ``level`` not in ``keys``, now in
@@ -373,11 +396,11 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
           reduce: Callable[[np.ndarray], object],
           box: Optional[int] = None) -> Tuple[list, int, bool]:
     """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
-    (C ints each): ``reduce`` of each whole level taken while the state
-    count stays within ``budget``, that count, and whether the frontier
-    emptied.  Each level is deduped against every state seen (``_Visited``:
-    packed int64 keys for bend walks while their values fit, else bytes).
-    Row order within a level is unspecified."""
+    (C ints each): ``reduce`` of each whole level (5, n, C) taken while the
+    state count stays within ``budget``, that count, and whether the
+    frontier emptied.  Each level is deduped against every state seen
+    (``_Visited``: packed int64 keys for bend walks while their values fit,
+    else bytes).  State order within a level is unspecified."""
     headroom = _INT64_HEADROOM if box is None else _BOX_HEADROOM
     _check_headroom(max(abs(x) for row in rows for x in row), headroom)
     seed = np.array(rows, dtype=np.int64)
@@ -385,12 +408,13 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
     visited = _Visited(frontier)
     out, taken = [], 0
     while True:
-        if taken + len(frontier) > budget:
+        n = frontier.shape[1]
+        if taken + n > budget:
             return out, taken, False
-        taken += len(frontier)
+        taken += n
         out.append(reduce(frontier))
         frontier = visited.fresh(_children(frontier, cap, box))
-        if not len(frontier):
+        if not frontier.shape[1]:
             return out, taken, True
         _check_headroom(int(np.abs(frontier).max()), headroom)
 
@@ -402,12 +426,22 @@ def _generate_bend(spec: PackingSpec):
     mult: Counter = Counter()
 
     def level(states: np.ndarray) -> int:
-        los = states[:, :4, 0]
-        all8 = np.concatenate([los, 2 * states[:, 4:, 0] - los], axis=1)
-        vals = all8.ravel()
-        uniq, counts = np.unique(vals[vals <= cap], return_counts=True)
+        """Tally the bends at most the cap of each sphere of ``states``,
+        one column at a time, and return the most zero bends in a state."""
+        los, mu = states[:4, :, 0], states[4, :, 0]
+
+        def columns() -> Iterator[np.ndarray]:
+            for lo in los:
+                yield lo
+                yield 2 * mu - lo
+
+        uniq, counts = np.unique(
+            np.concatenate([col[col <= cap] for col in columns()]),
+            return_counts=True)
         mult.update(dict(zip(uniq.tolist(), counts.tolist())))
-        return int((all8 == 0).sum(axis=1).max())
+        if 0 not in uniq:
+            return 0
+        return int(sum(col == 0 for col in columns()).max())
 
     rows = [[b] for b in spec.seed.bend_vector()]
     zeros, states, exhausted = _walk(rows, cap, spec.budget, level)
@@ -430,8 +464,8 @@ def _generate_geom(spec: PackingSpec):
     found = []
 
     def level(states: np.ndarray):
-        los = states[:, :4]
-        all8 = np.concatenate([los, 2 * states[:, 4:] - los], axis=1)
+        los = states[:4]
+        all8 = np.concatenate([los, 2 * states[4:] - los])
         all8 = all8.reshape(-1, all8.shape[2])
         found.append(np.compress(all8[:, 0] <= cap, all8, axis=0))
 
@@ -455,13 +489,13 @@ def orbit_bend_vectors(seed: FMatrix, cap: int,
     visits at this cap, sorted.  Each is a genuine bend vector of a
     reordered configuration: picking one sphere per disjoint pair is
     admissible."""
-    rows = [[b] for b in _seed_bend_vector(seed)]
+    rows = [[b] for b in seed_bend_vector(seed)]
     levels, _, exhausted = _walk(rows, cap, budget, lambda s: s[:, :, 0])
     if not exhausted:
         raise RuntimeError("node budget exceeded")
-    states = np.concatenate(levels)
-    states = states[np.lexsort(states.T[::-1])]
-    return [BendVector(s) for s in states.tolist()]
+    states = np.concatenate(levels, axis=1)
+    states = states[:, np.lexsort(states[::-1])]
+    return [BendVector(s) for s in states.T.tolist()]
 
 
 # ---------------------------------------------------------------------------

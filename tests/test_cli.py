@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from importlib import resources
 
 import jsonschema
@@ -451,3 +455,23 @@ def test_byte_identical_reruns(capsys):
     code1, out1, _ = run_cli(argv, capsys)
     code2, out2, _ = run_cli(argv, capsys)
     assert (code1, out1) == (code2, out2)
+
+
+def test_commands_that_never_walk_leave_numpy_unloaded(tmp_path):
+    # only the walks need numpy, whose import takes about 150 ms of a cold
+    # obstruct, the command that times a seed file's set-up
+    seed = tmp_path / "f1.json"
+    seed.write_text(json.dumps(F1.to_json_dict()))
+    script = ("import sys\n"
+              "from orthoplex import cli\n"
+              "codes = [cli.run(argv.split()) for argv in sys.argv[1:]]\n"
+              "print(codes, 'numpy' in sys.modules)")
+    argvs = [f"obstruct --seed {seed}", "obstruct --seed builtin:F7d --json",
+             "qform --seed builtin:F1", "mod8", "verify --all-builtin",
+             "groups verify"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, *argvs], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"

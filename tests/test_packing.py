@@ -268,6 +268,11 @@ def test_walk_switches_to_bytes_mid_walk(monkeypatch):
     assert packed[:3] == [True, True, False]
 
 
+def slots(states):
+    """C = 1 states, given as 5-tuples, slot-major: shape (5, m, 1)."""
+    return np.array(states, dtype=np.int64).T[:, :, None]
+
+
 _VALUES = st.integers(-40, 40)
 _STATE = st.tuples(*[_VALUES] * 5)
 
@@ -281,14 +286,13 @@ def test_visited_dedupes_like_a_set(base, start, levels):
     # move the keys held, spans past the base switch to bytes, and the start
     # comes back in the first level
     with mock.patch.object(packing, "_KEY_BASE", base):
-        visited = packing._Visited(
-            np.array([start], dtype=np.int64)[:, :, None])
+        visited = packing._Visited(slots([start]))
         seen = {start}
         for k, level in enumerate(levels):
-            batches = [np.array(b, dtype=np.int64)[:, :, None] for b in level]
+            batches = [slots(b) for b in level]
             if k == 0:
-                batches.append(np.array([start], dtype=np.int64)[:, :, None])
-            got = visited.fresh(iter(batches))[:, :, 0].tolist()
+                batches.append(slots([start]))
+            got = visited.fresh(iter(batches))[:, :, 0].T.tolist()
             want = {s for b in level for s in b} - seen
             seen |= want
             assert sorted(map(tuple, got)) == sorted(want)
@@ -301,13 +305,53 @@ def test_visited_dedupes_like_a_set(base, start, levels):
 def test_packed_keys_round_trip(low, digits):
     # pack then unpack is the identity on states within [low, low + B), and
     # keys are distinct and ordered exactly as their states are
-    visited = packing._Visited(np.full((1, 5, 1), low, dtype=np.int64))
-    states = np.array(digits, dtype=np.int64)[:, :, None] + low
+    visited = packing._Visited(slots([[low] * 5]))
+    states = slots(digits) + low
     keys = visited._pack(states)
     assert np.array_equal(visited._unpack(keys), states)
     pairs = itertools.combinations(zip(digits, keys.tolist()), 2)
     for (s, k), (t, j) in pairs:
         assert (s < t) == (k < j) and (s == t) == (k == j)
+
+
+_ENTRY = st.integers(-3, 3) | st.integers(-2 ** 62, 2 ** 62)
+
+
+@given(st.lists(st.tuples(*[_ENTRY] * 4), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_sorting_network_sorts_rows(rows):
+    # ties come from the small entries, negatives from both
+    rows = np.array(rows, dtype=np.int64)
+    out = np.empty((4, len(rows)), dtype=np.int64)
+    packing._sort4(list(rows.T.copy()), out)
+    assert np.array_equal(out.T, np.sort(rows, axis=1))
+
+
+@given(st.integers(-2 ** 58, 2 ** 58),
+       st.lists(st.tuples(*[st.integers(0, packing._KEY_BASE - 1)] * 5),
+                min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_slot_keys_are_the_digit_sums(low, digits):
+    # Horner's rule on the slot columns gives the digits (value - low) in
+    # base B exactly, also where a value times B would pass int64
+    visited = packing._Visited(slots([[low] * 5]))
+    base = packing._KEY_BASE
+    assert visited._pack(slots(digits) + low).tolist() == [
+        sum(d * base ** (4 - j) for j, d in enumerate(s)) for s in digits]
+
+
+def test_cap_past_int64_walks_like_a_huge_cap():
+    # a cap past int64 is compared, never converted: the walk must not
+    # raise OverflowError (the CLI's exit 1)
+    for seed, mode in ((F1, "bend"), (F0, "bend"), (F7D, "bend"),
+                       (F1, "geom")):
+        budget = 1000 if mode == "bend" else 200
+        huge, past = (generate(PackingSpec(seed=seed, bend_cap=cap, mode=mode,
+                                           budget=budget)).to_json_dict()
+                      for cap in (2 ** 62, 10 ** 20))
+        assert past.pop("bend_cap") == 10 ** 20
+        assert huge.pop("bend_cap") == 2 ** 62
+        assert past == huge and not past["frontier_exhausted"]
 
 
 def test_int64_headroom_guard():
@@ -429,14 +473,18 @@ def test_kernel_moves_are_the_apollonian_generators(name):
                         else [[int(b)] for b in f.bend_vector()])
         return _canonical([rows[k:k + 1] for k in range(4)], rows[4:])
 
+    def rows(states):
+        return sorted(map(tuple, states.swapaxes(0, 1).reshape(
+            states.shape[1], -1).tolist()))
+
     for geom in (False, True):
-        children = np.concatenate(list(_children(start(seed, geom), cap)))
+        children = np.concatenate(list(_children(start(seed, geom), cap)),
+                                  axis=1)
         images = np.concatenate([
             start(apply(element("Apollonian", (g,)), seed), geom)
-            for g in APOLLONIAN])
-        assert len(children) == len(APOLLONIAN) == 16
-        assert (sorted(map(tuple, children.reshape(16, -1).tolist()))
-                == sorted(map(tuple, images.reshape(16, -1).tolist())))
+            for g in APOLLONIAN], axis=1)
+        assert children.shape[1] == len(APOLLONIAN) == 16
+        assert rows(children) == rows(images)
 
 
 def test_orbit_bend_vectors_all_satisfy_cone():
