@@ -18,19 +18,28 @@ The canonical form of a state takes the lexicographically smaller row of
 each pair, the four in lexicographic order, then mu (for C = 1, the
 elementwise minimum of each pair and a five-comparator min/max sorting
 network over the four slots).  States are deduped on an exact key of that
-form, so two distinct states never share a key.  Bend walks (C = 1:
-``bends``, ``scan``, bend-mode ``gen`` and ``orbit_bend_vectors``) pack
-the five values of each state into one int64, as digits in base
-``_KEY_BASE`` above the least value seen, ``low``, by Horner's rule
-straight from the slots of each move's batch; that is exact only while
-every value lies in [low, low + _KEY_BASE), and a walk whose values
-outgrow that range switches, for the rest of the walk, to the exact bytes
-of each state, which geometric walks use throughout (``_Visited``).
+form, so two distinct states never share a key.
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
 agreement, monotone closure, and reproduction of the frozen reference bend
 sets rather than assuming a termination argument.
+
+Bend walks (C = 1: ``bends``, ``scan``, bend-mode ``gen`` and
+``orbit_bend_vectors``) first descend from their seed to its packing's
+root, taking the move with the least (mu', kept spheres) while mu' < mu,
+as Graham, Lagarias, Mallows, Wilks and Yan reduce a Descartes quadruple
+(J. Number Theory 100, 2003).  From the root they keep only the moves that
+raise mu and dedupe each level against itself alone, so their answer is a
+function of the packing, not of the start.  That every state lies one
+level above each state it is reached from is measured, not proven; were
+it false, a state would be counted twice and no bend lost.  A level packs
+each state into one int64 key, its values less the root's least value
+``low`` as digits in base ``_KEY_BASE``, by Horner's rule on each move's
+batch; a level with a value outside [low, low + _KEY_BASE) dedupes on
+exact bytes instead.  Geometric walks start where they are put, take every
+move and dedupe against every state seen, on bytes: their roots need a
+tie rule among same-bend states first.
 
 The walk is single-threaded and breadth-first.  It takes whole levels
 while its state count stays within the budget, never the level that
@@ -52,8 +61,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-# epsilon_of is bound here for benchmarks/tracer.py, which counts a traced
-# function's calls by patching every module that binds it
+# nothing here calls epsilon_of: it stays bound because
+# benchmarks/test_benchmark.py reads packing.epsilon_of
 from .arithmetic import (  # noqa: F401
     ObstructionClass, WalkInputError, epsilon_of, seed_bend_vector,
     seed_obstruction)
@@ -76,9 +85,14 @@ _FLIPS = (None, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0)
 _INT64_HEADROOM = 2 ** 58
 _BOX_HEADROOM = 2 ** 22
 
-# The base of the packed keys of bend-walk states (``_Visited``): the
+# The base of the packed keys of bend-walk states (``_distinct``): the
 # largest B with B**5 < 2**63, so five digits in [0, B) fit one int64.
 _KEY_BASE = 6208
+
+# Most moves a bend walk's start may lie above its root.  Along a parabolic
+# word, F1 under (S1234 S5634)^k, bends grow like 8k**2 over 2k moves, so
+# the headroom alone would admit descents of some 10**8 moves, an hour.
+_DESCENT_STEPS = 10 ** 5
 
 
 class CapBelowSeedError(WalkInputError):
@@ -254,12 +268,12 @@ def _in_box(v: np.ndarray, box: int) -> np.ndarray:
     return ok | (v[:, 0] == 0)
 
 
-def _children(states: np.ndarray, cap: int,
-              box: Optional[int] = None) -> Iterator[np.ndarray]:
+def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
+              climb: bool = False) -> Iterator[np.ndarray]:
     """The canonical states of the moves from ``states`` that create a bend
-    at most ``cap`` and, with a ``box``, a sphere that passes the box test;
-    one batch per move pattern, duplicates included.  The box sees only the
-    moves that pass the cap."""
+    at most ``cap``, with ``climb`` raise mu's bend, and, with a ``box``,
+    create a sphere that passes the box test; one batch per move pattern,
+    duplicates included.  The box sees only the moves that pass the cap."""
     L, M = list(states[:4]), states[4]
     H = [2 * M - x for x in L]
     kept = list(L)
@@ -274,7 +288,10 @@ def _children(states: np.ndarray, cap: int,
         # the largest kept one
         top = np.maximum(np.maximum(kept[0][:, 0], kept[1][:, 0]),
                          np.maximum(kept[2][:, 0], kept[3][:, 0]))
-        at = np.flatnonzero(2 * mu2[:, 0] - top <= cap)
+        ok = 2 * mu2[:, 0] - top <= cap
+        if climb:
+            ok &= mu2[:, 0] > M[:, 0]
+        at = np.flatnonzero(ok)
         if box is not None and len(at):
             two_mu2 = 2 * mu2.take(at, axis=0)
             at = at[np.logical_or.reduce(
@@ -284,112 +301,88 @@ def _children(states: np.ndarray, cap: int,
                              mu2.take(at, axis=0))
 
 
-class _Visited:
-    """The canonical states a walk has seen, and the dedupe of each level
-    against them.  States come and go slot-major, (5, m, C): the four
-    sphere rows, then mu, each slot a contiguous (m, C) block.
+def _voids(states: np.ndarray) -> list:
+    """The bytes of each state of ``states`` (5, m, C), its slots in order:
+    ``tolist`` of a void view of each state-major row."""
+    rows = np.ascontiguousarray(states.swapaxes(0, 1))
+    width = 5 * states.shape[2]
+    voids = rows.reshape(len(rows), width).view(f"V{8 * width}")
+    return voids.ravel().tolist()
 
-    A C = 1 state (lo0 <= lo1 <= lo2 <= lo3 <= mu) is held as one int64
-    key, its five values less ``low`` as digits in base ``_KEY_BASE``.  The
-    keys are packed only while every value the walk has seen lies in
-    [low, low + _KEY_BASE): then a key is exact, injective and ordered like
-    its state, and ``keys`` is kept sorted.  ``low`` is the least value
-    seen; when a batch goes below it, every key held moves with it.  A
-    batch that would stretch the values over ``_KEY_BASE`` switches the
-    walk, for good, to ``seen``: the exact bytes of each state in a set,
-    which geometric states (C = 9) use from the start.
-    """
 
-    def __init__(self, start: np.ndarray):
-        self.shape = start.shape[::2]  # (5, C), the shape of one state
-        self.void = f"V{start[:, 0].nbytes}"
-        self.low, self.high = int(start.min()), int(start.max())
-        self.keys: Optional[np.ndarray] = None
-        self.seen: Optional[Set[bytes]] = None
-        if self.shape[1] == 1 and self.high - self.low < _KEY_BASE:
-            self.keys = self._pack(start)
-        else:
-            self.seen = set(self._voids(start))
+def _fresh(batches: Iterator[np.ndarray], seen: Set[bytes],
+           width: int) -> np.ndarray:
+    """The states (5, m, ``width``) of ``batches`` whose bytes are not in
+    ``seen``, each once, now in it."""
+    fresh = []
+    for kids in batches:
+        keys = set(_voids(kids))
+        keys -= seen
+        seen |= keys
+        fresh += keys
+    rows = np.frombuffer(b"".join(fresh), dtype=np.int64)
+    return np.ascontiguousarray(rows.reshape(-1, 5, width).swapaxes(0, 1))
 
-    def _voids(self, states: np.ndarray) -> list:
-        """The bytes of each state, its slots in order: ``tolist`` of a
-        void view of each state-major row."""
-        rows = np.ascontiguousarray(states.swapaxes(0, 1))
-        return rows.reshape(len(rows), -1).view(self.void).ravel().tolist()
 
-    def _pack(self, states: np.ndarray) -> np.ndarray:
-        """The keys of ``states``, by Horner's rule on the digits
-        (value - low) of their slots; every partial key is below B**5."""
-        keys = states[0, :, 0] - self.low
-        digit = np.empty_like(keys)
-        for slot in states[1:, :, 0]:
-            np.subtract(slot, self.low, out=digit)
-            keys *= _KEY_BASE
-            keys += digit
-        return keys
+def _pack(states: np.ndarray, low: int) -> np.ndarray:
+    """The keys of C = 1 ``states``, by Horner's rule on the digits
+    (value - low) of their slots; every partial key is below B**5."""
+    keys = states[0, :, 0] - low
+    digit = np.empty_like(keys)
+    for slot in states[1:, :, 0]:
+        np.subtract(slot, low, out=digit)
+        keys *= _KEY_BASE
+        keys += digit
+    return keys
 
-    def _unpack(self, keys: np.ndarray) -> np.ndarray:
-        states = np.empty((5, len(keys), 1), dtype=np.int64)
-        for j in range(4, -1, -1):
-            keys, states[j, :, 0] = np.divmod(keys, _KEY_BASE)
-        states += self.low
-        return states
 
-    def _widen(self, states: np.ndarray, level: List[np.ndarray]) -> bool:
-        """Whether the values of ``states`` and every value seen lie in one
-        key range; if so, take it, moving ``keys`` and this ``level``'s keys
-        when ``low`` falls.  The span is checked first: the shift of a wider
-        one overflows int64."""
-        low = min(self.low, int(states.min()))
-        high = max(self.high, int(states.max()))
-        if high - low >= _KEY_BASE:
-            return False
-        if low < self.low:
-            shift = (self.low - low) * sum(_KEY_BASE ** j for j in range(5))
-            for keys in [self.keys] + level:
-                keys += shift
-        self.low, self.high = low, high
-        return True
+def _unpack(keys: np.ndarray, low: int) -> np.ndarray:
+    states = np.empty((5, len(keys), 1), dtype=np.int64)
+    for j in range(4, -1, -1):
+        keys, states[j, :, 0] = np.divmod(keys, _KEY_BASE)
+    states += low
+    return states
 
-    def fresh(self, batches: Iterator[np.ndarray]) -> np.ndarray:
-        """The states of ``batches`` not seen before, now seen."""
-        if self.keys is not None:
-            level: List[np.ndarray] = []
-            for kids in batches:
-                if not self._widen(kids, level):
-                    # switch: this level's keys so far become one more batch
-                    held = [self._unpack(k) for k in level]
-                    self.seen = set(self._voids(self._unpack(self.keys)))
-                    self.keys = None
-                    batches = itertools.chain(held, [kids], batches)
-                    break
-                level.append(self._pack(kids))
-                del kids  # free each batch before the next one is made
-            else:
-                return self._unpack(self._merge(level))
-        fresh = []
-        for kids in batches:
-            keys = set(self._voids(kids))
-            keys -= self.seen
-            self.seen |= keys
-            fresh += keys
-        rows = np.frombuffer(b"".join(fresh), dtype=np.int64)
-        return np.ascontiguousarray(
-            rows.reshape(-1, *self.shape).swapaxes(0, 1))
 
-    def _merge(self, level: List[np.ndarray]) -> np.ndarray:
-        """The sorted distinct keys of ``level`` not in ``keys``, now in
-        it.  Sorting and a neighbour mask, not ``np.unique``: that imports
-        ``numpy.ma``."""
-        keys = np.sort(np.concatenate(level or [self.keys[:0]]))
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        at = np.searchsorted(self.keys, keys)
-        new = self.keys[np.minimum(at, len(self.keys) - 1)] != keys
-        keys = keys[new]
-        self.keys = np.insert(self.keys, at[new], keys)
-        return keys
+def _distinct(batches: Iterator[np.ndarray], low: int) -> np.ndarray:
+    """The distinct C = 1 states of one level's ``batches``.  While every
+    value lies in [low, low + _KEY_BASE), each batch is packed into keys,
+    and the level's keys are sorted and each kept once: sorting and a
+    neighbour mask, not ``np.unique``, which imports ``numpy.ma``.  A batch
+    outside that range sends this level alone, with the keys packed so far,
+    to the exact bytes of each state."""
+    level: List[np.ndarray] = []
+    for kids in batches:
+        if int(kids.min()) < low or int(kids.max()) - low >= _KEY_BASE:
+            held = [_unpack(keys, low) for keys in level]
+            return _fresh(itertools.chain(held, [kids], batches), set(), 1)
+        level.append(_pack(kids, low))
+        del kids  # free each batch before the next one is made
+    keys = np.sort(np.concatenate(level or [np.empty(0, dtype=np.int64)]))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return _unpack(keys[first], low)
+
+
+def _root(bends: List[int]) -> List[int]:
+    """The canonical root state of the packing of the bend vector
+    ``bends`` (four spheres, one of each disjoint pair, then mu): from it,
+    take the move with the least (mu', kept spheres) while mu' < mu, on
+    exact ints.  A start more than ``_DESCENT_STEPS`` moves above its root,
+    or whose descent leaves the int64 headroom, is invalid input."""
+    mu = bends[4]
+    los = sorted(min(b, 2 * mu - b) for b in bends[:4])
+    for _ in range(_DESCENT_STEPS + 1):
+        _check_headroom(max(map(abs, los + [mu])), _INT64_HEADROOM)
+        mu2, kept = min(
+            (sum(kept) - mu, kept)
+            for kept in itertools.product(*[(x, 2 * mu - x) for x in los]))
+        if mu2 >= mu:
+            return los + [mu]
+        mu = mu2
+        los = sorted(min(k, 2 * mu - k) for k in kept)
+    raise WalkInputError(f"the seed lies more than {_DESCENT_STEPS} moves "
+                         "above the root of its packing")
 
 
 def _walk(rows: List[List[int]], cap: int, budget: int,
@@ -398,14 +391,17 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
     """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
     (C ints each): ``reduce`` of each whole level (5, n, C) taken while the
     state count stays within ``budget``, that count, and whether the
-    frontier emptied.  Each level is deduped against every state seen
-    (``_Visited``: packed int64 keys for bend walks while their values fit,
-    else bytes).  State order within a level is unspecified."""
+    frontier emptied.  A bend walk (no ``box``) climbs from its root; a
+    geometric walk takes every move from its start.  State order within a
+    level is unspecified."""
     headroom = _INT64_HEADROOM if box is None else _BOX_HEADROOM
     _check_headroom(max(abs(x) for row in rows for x in row), headroom)
+    climb = box is None
+    if climb:
+        rows = [[b] for b in _root([row[0] for row in rows])]
     seed = np.array(rows, dtype=np.int64)
     frontier = _canonical([seed[k:k + 1] for k in range(4)], seed[4:])
-    visited = _Visited(frontier)
+    low, seen = int(frontier.min()), set(_voids(frontier))
     out, taken = [], 0
     while True:
         n = frontier.shape[1]
@@ -413,7 +409,9 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
             return out, taken, False
         taken += n
         out.append(reduce(frontier))
-        frontier = visited.fresh(_children(frontier, cap, box))
+        kids = _children(frontier, cap, box, climb=climb)
+        frontier = (_distinct(kids, low) if climb
+                    else _fresh(kids, seen, seed.shape[1]))
         if not frontier.shape[1]:
             return out, taken, True
         _check_headroom(int(np.abs(frontier).max()), headroom)

@@ -10,8 +10,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from orthoplex import cli
-from orthoplex.config import F0, F1
+from orthoplex import cli, packing
+from orthoplex.config import F0, F1, FMatrix
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import mobius_rescale, mobius_translate
 from orthoplex.ring import SQRT2
@@ -239,6 +239,60 @@ def test_malformed_seed_file(tmp_path, capsys):
     assert_one_error_line(err)
 
 
+def write_seed(f, path):
+    path.write_text(json.dumps(f.to_json_dict()))
+    return str(path)
+
+
+def test_image_start_walks_its_packing(tmp_path, capsys, schema):
+    # F1 under S1678 S5238 S1638 S1678, bend vector (142, 582, 563, 719,
+    # 363): no move from it passes cap 20, so a walk that did not first
+    # descend to F1 would see this one state alone
+    image = apply(element("Apollonian", ("S1678", "S5238", "S1638", "S1678")),
+                  F1)
+    path = write_seed(image, tmp_path / "image.json")
+    for argv in (["scan", "--cap", "20"], ["scan", "--cap", "20", "--json"],
+                 ["bends", "--cap", "20"]):
+        code, out, err = run_cli(argv + ["--seed", path], capsys)
+        assert code == 0 and err == "", argv
+        assert out.replace(path, "builtin:F1") == run_cli(
+            argv + ["--seed", "builtin:F1"], capsys)[1], argv
+    code, doc = run_json(["gen", "--seed", path, "--cap", "20"], capsys,
+                         schema)
+    assert code == 0
+    report = doc["report"]
+    assert report["states"] == 24 and report["classification"] == "bounded"
+
+
+def test_reversed_seed_is_invalid(tmp_path, capsys):
+    # F1 with every row negated passes the identities, but every step of
+    # its descent raises the bends it holds, until they pass the headroom
+    reversed_f1 = FMatrix(tuple(row.scale(-1) for row in F1.rows))
+    path = write_seed(reversed_f1, tmp_path / "reversed.json")
+    code, out, err = run_cli(["bends", "--seed", path, "--cap", "10"], capsys)
+    assert code == 2 and out == "" and "int64 headroom" in err
+    assert_one_error_line(err)
+
+
+def test_parabolic_start_descends_within_the_step_limit(tmp_path, capsys,
+                                                        monkeypatch):
+    # F1 under (S1234 S5634)^2000: bends near 8 * 2000**2, 4,000 moves
+    # above F1
+    image = apply(element("Apollonian", ("S1234", "S5634") * 2000), F1)
+    path = write_seed(image, tmp_path / "parabolic.json")
+    argv = ["bends", "--seed", path, "--cap", "100"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out == run_cli(["bends", "--seed", "builtin:F1", "--cap", "100"],
+                          capsys)[1]
+    monkeypatch.setattr(packing, "_DESCENT_STEPS", 4000)
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr(packing, "_DESCENT_STEPS", 3999)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and "3999 moves above the root" in err
+    assert_one_error_line(err)
+
+
 def test_geometric_int64_headroom_guard(tmp_path, capsys):
     # F1 moved by 2**27: coordinates near 2**54, past the geometric walk's
     # headroom, while the bends, and so the bend walk, stay F1's
@@ -285,6 +339,11 @@ def test_cap_below_seed_is_validation_error(capsys):
          "--pmax must be at least 2"),
         (["qform", "--seed", "builtin:F1", "--pmax", "1", "--json"],
          "--pmax must be at least 2"),
+        (["qform", "--seed", "builtin:F1", "--ordering", "0"],
+         "sphere index must be in 1..8"),
+        (["qform", "--seed", "builtin:F1", "--ordering", "9"],
+         "sphere index must be in 1..8"),
+        (["verify"], "nothing to verify"),
     )
     for argv, message in cases:
         code, out, err = run_cli(argv, capsys)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from orthoplex import packing
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
-from orthoplex.config import F0, F1, F7D, BendVector
+from orthoplex.config import F0, F1, F7D, BendVector, descartes_form
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
@@ -163,19 +164,21 @@ def test_stabilizer_bends_appear_in_orbit():
     assert set(produced) <= set(rep.bends)
 
 
-def reference_walk(seed, cap, budget):
+def reference_walk(bends, cap, budget):
     """The capped bend walk in pure Python on unbounded ints, level by
-    level: the oracle for the numpy engine.  Returns the states of the
-    levels taken and whether the frontier emptied.  The walk takes whole
-    levels while its state count stays within the budget."""
-    b = seed.bend_vector()
+    level: every move, deduped against every state seen, from the bend
+    vector ``bends``.  The oracle for the numpy engine.  Returns the levels
+    taken, each a set of states, and whether the frontier emptied.  The
+    walk takes whole levels while its state count stays within the
+    budget."""
+    b = tuple(bends)
     lo = tuple(sorted(min(b[k], 2 * b[4] - b[k]) for k in range(4)))
     start = lo + (b[4],)
     visited = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
+    levels = [{start}]
+    while True:
+        nxt = set()
+        for state in levels[-1]:
             los, mu = state[:4], state[4]
             his = tuple(2 * mu - x for x in los)
             for mask in itertools.product((0, 1), repeat=4):
@@ -185,18 +188,34 @@ def reference_walk(seed, cap, budget):
                 if min(new) > cap:
                     continue
                 child = tuple(sorted(min(c, n) for c, n in zip(kept, new))) + (mu2,)
-                if child in visited:
-                    continue
-                visited.add(child)
-                nxt.append(child)
+                if child not in visited:
+                    visited.add(child)
+                    nxt.add(child)
+        if not nxt:
+            return levels, True
         if len(visited) > budget:
-            return visited.difference(nxt), False
-        frontier = nxt
-    return visited, True
+            return levels, False
+        levels.append(nxt)
 
 
-def assert_matches_reference(seed, cap, budget):
-    visited, exhausted = reference_walk(seed, cap, budget)
+def engine_levels(bends, cap, budget):
+    """The levels of the numpy bend walk from the bend vector ``bends``,
+    each a sorted list of states, and whether its frontier emptied."""
+    levels, _, exhausted = packing._walk(
+        [[b] for b in bends], cap, budget,
+        lambda s: sorted(map(tuple, s[:, :, 0].T.tolist())))
+    return levels, exhausted
+
+
+def assert_matches_reference(seed, cap, budget, root=None):
+    """The bend walk from ``seed`` against the reference walk from ``root``,
+    the builtin of ``seed``'s packing, or from ``seed`` itself: the same
+    states, level by level, bends, multiplicities and exhaustion."""
+    levels, exhausted = reference_walk(
+        (root or seed).bend_vector(), cap, budget)
+    visited = set().union(*levels)
+    assert engine_levels(seed.bend_vector(), cap, budget) == (
+        [sorted(level) for level in levels], exhausted)
     mult = Counter()
     for s in visited:
         mult.update(v for v in s[:4] + tuple(2 * s[4] - x for x in s[:4])
@@ -222,9 +241,40 @@ def test_integer_engine_matches_reference_on_builtins(name):
             assert_matches_reference(SEEDS[name], cap, budget)
 
 
+# Canonical roots (four spheres, one of each pair, then mu): every root with
+# least bend 0 to -4, found by a search of b2 <= b3 <= b4 < 40(n + 1), and
+# one with least bend -12
+CATALOGUE_ROOTS = (
+    (0, 0, 1, 1, 1), (-1, 2, 2, 3, 3), (-2, 3, 6, 7, 7), (-2, 4, 5, 5, 5),
+    (-3, 4, 12, 13, 13), (-3, 5, 8, 8, 9), (-4, 5, 20, 21, 21),
+    (-4, 6, 13, 13, 13), (-4, 7, 10, 11, 11), (-4, 8, 9, 9, 11),
+    (-12, 16, 49, 49, 51),
+)
+
+
+def descends(state):
+    los, mu = state[:4], state[4]
+    return any(sum(kept) - mu < mu
+               for kept in itertools.product(*[(x, 2 * mu - x) for x in los]))
+
+
+@pytest.mark.parametrize("root", CATALOGUE_ROOTS)
+def test_climb_matches_reference_on_catalogue_roots(root):
+    # from a root the walk that climbs and dedupes each level against
+    # itself alone takes the levels of the walk that takes every move and
+    # remembers every state: each state lies one level above its parents
+    assert not descends(root) and descartes_form(root) == 0
+    assert math.gcd(*root) == 1
+    for cap in (50, 150):
+        for budget in (10 ** 7, 7, 300):
+            levels, exhausted = reference_walk(root, cap, budget)
+            assert engine_levels(root, cap, budget) == (
+                [sorted(level) for level in levels], exhausted)
+
+
 def test_integer_engine_matches_reference_on_images():
-    # starts deeper in each packing, whose walks reach smaller bends than
-    # the start's own
+    # starts deeper in each packing: the walk descends to the builtin, the
+    # root, and so takes the builtin's levels, below the start's own bends
     r = random.Random(2024)
     went_below = 0
     for name in sorted(SEEDS):
@@ -232,7 +282,8 @@ def test_integer_engine_matches_reference_on_images():
             image = apply(random_apollonian_word(r, 4), SEEDS[name])
             own_min = min(int(b) for b in image.bend_vector().bends8())
             for budget in (10 ** 7, 5):
-                rep = assert_matches_reference(image, max(own_min, 68), budget)
+                rep = assert_matches_reference(
+                    image, max(own_min, 68), budget, root=SEEDS[name])
                 went_below += rep.bends[0] < own_min
     assert went_below
 
@@ -240,32 +291,53 @@ def test_integer_engine_matches_reference_on_images():
 @pytest.mark.parametrize("letters", [8, 10, 12, 20])
 def test_wide_span_starts_match_reference(letters):
     # the generators in table order: the start's values span 12,684 or more,
-    # past the packed key range, so the walk dedupes on bytes from the start;
-    # at the cap of its largest bend the walk comes back to the start
+    # past the packed key range; the walk descends to F1 and takes F1's
+    # levels at every cap from the start's least bend to its largest
     image = apply(element("Apollonian", list(APOLLONIAN)[:letters]), F1)
     bends = image.bend_vector().bends8()
     for cap in (min(bends), min(bends) + 500, max(bends)):
         for budget in (5, 200, 50):
-            assert_matches_reference(image, cap, budget)
+            assert_matches_reference(image, cap, budget, root=F1)
 
 
-def test_walk_switches_to_bytes_mid_walk(monkeypatch):
-    # a base of 64 packs builtin F1's start, (-1, 2, 2, 3, 3), and its first
-    # level; the third level outgrows it after some of its batches are
-    # packed, and the walk finishes on bytes.  A budget of 62 ends the walk
-    # on that level.
+def test_random_images_walk_like_their_builtin():
+    # start independence: images under words of up to 12 letters report
+    # what their builtin reports, at caps from their least bend up
+    r = random.Random(16)
+    for name in sorted(SEEDS):
+        for _ in range(4):
+            image = apply(random_apollonian_word(r, 12), SEEDS[name])
+            own_min = min(int(b) for b in image.bend_vector().bends8())
+            for cap in (own_min, own_min + 100):
+                for budget in (5, 200):
+                    spec = PackingSpec(seed=image, bend_cap=cap,
+                                       budget=budget)
+                    assert generate(spec) == run(SEEDS[name], cap,
+                                                 budget=budget)
+
+
+def test_level_falls_back_to_bytes(monkeypatch):
+    # a base of 64 packs builtin F1's root, (-1, 2, 2, 3, 3), and its first
+    # level, whose values lie in [-1, 15]; the second level reaches 87 and
+    # is deduped on bytes, as is each later one.  A budget of 62 ends the
+    # walk on the second level.
     monkeypatch.setattr(packing, "_KEY_BASE", 64)
     packed = []
-    fresh = packing._Visited.fresh
+    distinct, fresh = packing._distinct, packing._fresh
 
-    def spy(self, batches):
-        packed.append(self.keys is not None)
-        return fresh(self, batches)
+    def spy_distinct(batches, low):
+        packed.append(True)
+        return distinct(batches, low)
 
-    monkeypatch.setattr(packing._Visited, "fresh", spy)
+    def spy_fresh(batches, seen, width):
+        packed[-1] = False
+        return fresh(batches, seen, width)
+
+    monkeypatch.setattr(packing, "_distinct", spy_distinct)
+    monkeypatch.setattr(packing, "_fresh", spy_fresh)
     for budget in (10 ** 7, 62, 600):
         assert_matches_reference(F1, 250, budget)
-    assert packed[:3] == [True, True, False]
+    assert packed[:3] == [True, False, False]
 
 
 def slots(states):
@@ -277,25 +349,17 @@ _VALUES = st.integers(-40, 40)
 _STATE = st.tuples(*[_VALUES] * 5)
 
 
-@given(st.sampled_from([16, 64, 6208]), _STATE,
-       st.lists(st.lists(st.lists(_STATE, min_size=1, max_size=6),
-                         max_size=4), max_size=4))
+@given(st.sampled_from([16, 64, 6208]), _VALUES,
+       st.lists(st.lists(_STATE, min_size=1, max_size=6), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_visited_dedupes_like_a_set(base, start, levels):
-    # batches of arbitrary states against a set of tuples: new lows mid-level
-    # move the keys held, spans past the base switch to bytes, and the start
-    # comes back in the first level
+def test_level_dedupes_like_a_set(base, low, level):
+    # batches of arbitrary states against a set of tuples: values below low
+    # and spans past the base send the level to bytes
     with mock.patch.object(packing, "_KEY_BASE", base):
-        visited = packing._Visited(slots([start]))
-        seen = {start}
-        for k, level in enumerate(levels):
-            batches = [slots(b) for b in level]
-            if k == 0:
-                batches.append(slots([start]))
-            got = visited.fresh(iter(batches))[:, :, 0].T.tolist()
-            want = {s for b in level for s in b} - seen
-            seen |= want
-            assert sorted(map(tuple, got)) == sorted(want)
+        got = packing._distinct(iter(slots(b) for b in level), low)
+    got = got[:, :, 0].T.tolist()
+    assert len(got) == len(set(map(tuple, got)))
+    assert set(map(tuple, got)) == {s for b in level for s in b}
 
 
 @given(st.integers(-2 ** 40, 2 ** 40),
@@ -305,10 +369,9 @@ def test_visited_dedupes_like_a_set(base, start, levels):
 def test_packed_keys_round_trip(low, digits):
     # pack then unpack is the identity on states within [low, low + B), and
     # keys are distinct and ordered exactly as their states are
-    visited = packing._Visited(slots([[low] * 5]))
     states = slots(digits) + low
-    keys = visited._pack(states)
-    assert np.array_equal(visited._unpack(keys), states)
+    keys = packing._pack(states, low)
+    assert np.array_equal(packing._unpack(keys, low), states)
     pairs = itertools.combinations(zip(digits, keys.tolist()), 2)
     for (s, k), (t, j) in pairs:
         assert (s < t) == (k < j) and (s == t) == (k == j)
@@ -334,9 +397,8 @@ def test_sorting_network_sorts_rows(rows):
 def test_slot_keys_are_the_digit_sums(low, digits):
     # Horner's rule on the slot columns gives the digits (value - low) in
     # base B exactly, also where a value times B would pass int64
-    visited = packing._Visited(slots([[low] * 5]))
     base = packing._KEY_BASE
-    assert visited._pack(slots(digits) + low).tolist() == [
+    assert packing._pack(slots(digits) + low, low).tolist() == [
         sum(d * base ** (4 - j) for j, d in enumerate(s)) for s in digits]
 
 
@@ -582,3 +644,35 @@ def test_non_integral_seed_rejected():
     scaled = FMatrix(tuple(r.scale(Fraction(1, 3)) for r in F1.rows))
     with pytest.raises(ValueError):
         run(scaled, 30)
+
+
+def test_spec_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be"):
+        PackingSpec(seed=F1, bend_cap=10, mode="x")
+
+
+def test_classify_names_each_class():
+    assert packing._classify(0, {-1}) == "bounded"
+    assert packing._classify(2, set()) == "planar"
+    assert packing._classify(1, set()) == "half_space"
+    assert packing._classify(0, {-1, -2}) == "full_space"
+
+
+def test_readme_quick_start_runs_verbatim(capsys):
+    # the package's lazy attributes, through the README's own code block:
+    # each print's output is the comment on its line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start")[1]
+    code = block.split("```python\n")[1].split("```")[0]
+    exec(code, {})
+    want = [line.split("# ")[-1] for line in code.splitlines()
+            if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == want == [
+        "bounded", "(-1, 2, 3, 4, 6, 7)", "[]"]
+
+
+def test_unknown_package_attribute_raises():
+    import orthoplex
+    assert orthoplex.generate is generate
+    with pytest.raises(AttributeError, match="nope"):
+        orthoplex.nope
