@@ -9,7 +9,7 @@ word so every sphere in a packing can report its derivation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -166,22 +166,21 @@ def generators(name: str) -> Mapping[str, IntRows]:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A 5x5 integer matrix with the word that produced it."""
+    """A 5x5 integer matrix with the word that produced it: the matrix is
+    the fold of the word, never given."""
 
     table: str
     word: Tuple[str, ...]
-    matrix: IntRows
+    matrix: IntRows = field(init=False)
 
     def __post_init__(self):
-        folded = _fold_word(self.table, self.word)
-        if folded != self.matrix:
-            raise ValueError("group element matrix does not match its word")
+        object.__setattr__(self, "word", tuple(self.word))
+        object.__setattr__(self, "matrix", _fold_word(self.table, self.word))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.table != self.table:
             raise ValueError("cannot multiply elements over different tables")
-        return GroupElement(self.table, self.word + other.word,
-                            _imul(self.matrix, other.matrix))
+        return GroupElement(self.table, self.word + other.word)
 
     def mat(self) -> Mat:
         return Mat.from_rows(self.matrix)
@@ -196,22 +195,15 @@ def _fold_word(table: str, word: Sequence[str]) -> IntRows:
 
 
 def element(table: str, word: Iterable[str]) -> GroupElement:
-    """The element of ``word``, folded once: the matrix is the fold itself,
-    so ``__post_init__``'s re-fold and comparison are skipped."""
-    word = tuple(word)
-    g = object.__new__(GroupElement)  # frozen: fill __dict__ directly
-    g.__dict__.update(table=table, word=word, matrix=_fold_word(table, word))
-    return g
+    """The element of ``word`` over the generator table ``table``."""
+    return GroupElement(table, word)
 
 
 def verify_orthogonality(g: GroupElement) -> Tuple[bool, int]:
     """Exact check of g^T Q_F g = Q_F; returns (ok, det)."""
     m = g.mat()
     ok = m.transpose() * Q_F * m == Q_F
-    det = m.det()
-    if not det.is_integer():
-        return False, 0
-    d = int(det.rat)
+    d = int(m.det().rat)  # an integer matrix has an integer determinant
     return ok and d in (1, -1), d
 
 

@@ -14,11 +14,15 @@ a, xhat, yhat and zhat, all times the seed's common denominator; it also
 needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.
 ``QSqrt2`` arithmetic only scales its seed in and its spheres out.
 
-The canonical form of a state takes the lexicographically smaller row of
-each pair, the four in lexicographic order, then mu (for C = 1, the
-elementwise minimum of each pair and a five-comparator min/max sorting
-network over the four slots).  States are deduped on an exact key of that
-form, so two distinct states never share a key.
+A bend state is put in canonical form, the elementwise minimum of each
+pair sorted by a five-comparator min/max network, then mu, and deduped on
+an exact key of that form.  A geometric state is keyed on its mu alone.
+That is exact: the 16 moves are the reflections in the facets of a
+hyperbolic Coxeter polytope holding the row e5 strictly inside (Vinberg's
+criterion, Russian Math. Surveys 40, 1985), so only the Platonic words,
+which reorder rows, fix e5, and two states gF and g'F of an invertible
+seed F (one that satisfies the Gramian identity) with the same mu are one
+configuration.  ``tests/test_groups.py`` certifies each step.
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
@@ -38,8 +42,8 @@ each state into one int64 key, its values less the root's least value
 ``low`` as digits in base ``_KEY_BASE``, by Horner's rule on each move's
 batch; a level with a value outside [low, low + _KEY_BASE) dedupes on
 exact bytes instead.  Geometric walks start where they are put, take every
-move and dedupe against every state seen, on bytes: their roots need a
-tie rule among same-bend states first.
+move and dedupe against every mu seen: their roots need a tie rule among
+same-bend states first.
 
 The walk is single-threaded and breadth-first.  It takes whole levels
 while its state count stays within the budget, never the level that
@@ -66,7 +70,7 @@ import numpy as np
 from .arithmetic import (  # noqa: F401
     ObstructionClass, WalkInputError, epsilon_of, seed_bend_vector,
     seed_obstruction)
-from .config import BendVector, FMatrix
+from .config import BendVector, FMatrix, check_gramian
 from .inversive import Coord5, HonestSphere, sphere_from_coords
 from .ring import QSqrt2
 
@@ -118,24 +122,27 @@ class PackingSpec:
 class PackingReport:
     """Outcome of one orbit walk.
 
-    ``bends`` is the sorted set of bend values found at or below the cap.
-    ``bend_multiplicity`` counts distinct spheres per bend in geometric
-    mode; in bend mode sphere identity is not recoverable, so it counts
-    occurrences across the deduped states instead.  ``spheres``, in
-    geometric mode only, holds each distinct sphere once, ordered by its
-    exact channels: bend, then the rational and sqrt2 parts of a, xhat,
-    yhat and zhat.
+    ``bend_multiplicity`` counts distinct spheres per bend found at or
+    below the cap in geometric mode; in bend mode sphere identity is not
+    recoverable, so it counts occurrences across the deduped states
+    instead.  Its keys, sorted, are ``bends``.
+    ``spheres``, in geometric mode only, holds each distinct sphere once,
+    ordered by its exact channels: bend, then the rational and sqrt2 parts
+    of a, xhat, yhat and zhat.
     """
 
     mode: str
     bend_cap: int
-    bends: Tuple[int, ...]
     bend_multiplicity: Dict[int, int]
     classification: str
     epsilon: int
     frontier_exhausted: bool
     states: int
     spheres: Optional[Tuple[Coord5, ...]] = None
+
+    @property
+    def bends(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.bend_multiplicity))
 
     @property
     def min_bend(self) -> int:
@@ -184,7 +191,6 @@ def generate(spec: PackingSpec) -> PackingReport:
     report = PackingReport(
         mode=spec.mode,
         bend_cap=spec.bend_cap,
-        bends=tuple(sorted(mult)),
         bend_multiplicity=dict(sorted(mult.items())),
         classification=_classify(zero_spheres, {b for b in mult if b < 0}),
         epsilon=obs.epsilon,
@@ -209,12 +215,6 @@ def _check_headroom(peak: int, headroom: int):
             f"2**{headroom.bit_length() - 1}")
 
 
-def _lex_sorted(rows: np.ndarray, size: int) -> np.ndarray:
-    """``rows`` (n, C), each run of ``size`` in lexicographic order."""
-    run = np.repeat(np.arange(len(rows) // size), size)
-    return rows[np.lexsort(tuple(rows.T[::-1]) + (run,))]
-
-
 def _sort4(x: List[np.ndarray], out: np.ndarray):
     """Sort the four arrays ``x`` elementwise into ``out[:4]`` by a min/max
     network on the pairs (0, 1), (2, 3), (0, 2), (1, 3), (1, 2).  ``x`` is
@@ -235,19 +235,15 @@ def _sort4(x: List[np.ndarray], out: np.ndarray):
 
 
 def _canonical(kept: List[np.ndarray], mu: np.ndarray) -> np.ndarray:
-    """The canonical states, slot-major (5, m, C), of the configurations
-    with antipodal rows ``mu`` that hold the sphere rows ``kept[k]``, one
-    of each pair, each (m, C)."""
-    m, width = mu.shape
-    states = np.empty((5, m, width), dtype=np.int64)
+    """The states, slot-major (5, m, C), of the configurations with
+    antipodal rows ``mu`` that hold the sphere rows ``kept[k]``, one of
+    each pair, each (m, C): canonical for C = 1, as given for C > 1."""
+    if mu.shape[1] > 1:
+        return np.stack(kept + [mu])
+    states = np.empty((5,) + mu.shape, dtype=np.int64)
     states[4] = mu
     two_mu = 2 * mu
-    if width == 1:  # the same form, several times faster
-        _sort4([np.minimum(k, two_mu - k) for k in kept], states)
-        return states
-    pairs = np.stack([x for k in kept for x in (k, two_mu - k)], axis=1)
-    lo = _lex_sorted(pairs.reshape(-1, width), 2)[::2]
-    states[:4] = _lex_sorted(lo, 4).reshape(m, 4, width).swapaxes(0, 1)
+    _sort4([np.minimum(k, two_mu - k) for k in kept], states)
     return states
 
 
@@ -270,9 +266,9 @@ def _in_box(v: np.ndarray, box: int) -> np.ndarray:
 
 def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
               climb: bool = False) -> Iterator[np.ndarray]:
-    """The canonical states of the moves from ``states`` that create a bend
-    at most ``cap``, with ``climb`` raise mu's bend, and, with a ``box``,
-    create a sphere that passes the box test; one batch per move pattern,
+    """The states of the moves from ``states`` that create a bend at most
+    ``cap``, with ``climb`` raise mu's bend, and, with a ``box``, create a
+    sphere that passes the box test; one batch per move pattern,
     duplicates included.  The box sees only the moves that pass the cap."""
     L, M = list(states[:4]), states[4]
     H = [2 * M - x for x in L]
@@ -301,27 +297,31 @@ def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
                              mu2.take(at, axis=0))
 
 
-def _voids(states: np.ndarray) -> list:
-    """The bytes of each state of ``states`` (5, m, C), its slots in order:
-    ``tolist`` of a void view of each state-major row."""
-    rows = np.ascontiguousarray(states.swapaxes(0, 1))
-    width = 5 * states.shape[2]
+def _keys(states: np.ndarray) -> list:
+    """The exact key of each state of ``states`` (5, m, C): the bytes of
+    its five slots for C = 1, of its mu alone for C > 1.  ``tolist`` of a
+    void view of each state-major row of those slots."""
+    slots = states if states.shape[2] == 1 else states[4:]
+    rows = np.ascontiguousarray(slots.swapaxes(0, 1))
+    width = slots.shape[0] * slots.shape[2]
     voids = rows.reshape(len(rows), width).view(f"V{8 * width}")
     return voids.ravel().tolist()
 
 
 def _fresh(batches: Iterator[np.ndarray], seen: Set[bytes],
            width: int) -> np.ndarray:
-    """The states (5, m, ``width``) of ``batches`` whose bytes are not in
-    ``seen``, each once, now in it."""
-    fresh = []
+    """The states (5, m, ``width``) of ``batches`` whose keys are not in
+    ``seen``, the first state of each key, their keys now in it."""
+    fresh = [np.empty((5, 0, width), dtype=np.int64)]
     for kids in batches:
-        keys = set(_voids(kids))
-        keys -= seen
-        seen |= keys
-        fresh += keys
-    rows = np.frombuffer(b"".join(fresh), dtype=np.int64)
-    return np.ascontiguousarray(rows.reshape(-1, 5, width).swapaxes(0, 1))
+        keys = _keys(kids)
+        # reversed, so each key maps to its first index
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        new = first.keys() - seen
+        seen |= new
+        at = np.fromiter(map(first.get, new), np.intp, len(new))
+        fresh.append(kids.take(np.sort(at), axis=1))
+    return np.concatenate(fresh, axis=1)
 
 
 def _pack(states: np.ndarray, low: int) -> np.ndarray:
@@ -401,7 +401,7 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
         rows = [[b] for b in _root([row[0] for row in rows])]
     seed = np.array(rows, dtype=np.int64)
     frontier = _canonical([seed[k:k + 1] for k in range(4)], seed[4:])
-    low, seen = int(frontier.min()), set(_voids(frontier))
+    low, seen = int(frontier.min()), set(_keys(frontier))
     out, taken = [], 0
     while True:
         n = frontier.shape[1]
@@ -456,6 +456,8 @@ def _channels(v: Coord5) -> List[int]:
 def _generate_geom(spec: PackingSpec):
     """Distinct-sphere bend multiplicities, zero-sphere count, states,
     exhaustion and the spheres at most the cap of a geometric walk."""
+    if not check_gramian(spec.seed):  # mu keys need an invertible seed
+        raise WalkInputError("geometric seed fails the Gramian identity")
     rows = spec.seed.rows
     d = math.lcm(*(c.xyd[2] for v in rows for c in v))
     cap = spec.bend_cap * d

@@ -1,6 +1,11 @@
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from orthoplex.config import F0, F1, F7D, FMatrix, check_dgm, check_gramian
+from orthoplex.config import (
+    F0, F1, F7D, G_SIGMA_F, FMatrix, check_dgm, check_gramian)
 from orthoplex.groups import (
     APOLLONIAN, DUAL_APOLLONIAN, PLATONIC, STABILIZER1_ORIENTED,
     STABILIZER1_FACTORS, GroupElement, apply, element, generators,
@@ -136,24 +141,27 @@ def test_stabilizer_fixes_first_row(rng):
 
 
 def test_provenance_enforced():
+    # the matrix is the fold of the word: no constructor takes one
     good = element("Apollonian", ("S1234", "S5678"))
     assert good.matrix == _imul(APOLLONIAN["S1234"], APOLLONIAN["S5678"])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         GroupElement("Apollonian", ("S1234",), APOLLONIAN["S5678"])
 
 
 def test_direct_construction_still_refolds():
-    # element() folds once; direct construction and __mul__ still check
+    # element(), direct construction and __mul__ all fold the word
     word = ("S1234", "S5234", "S1634")
     g = element("Apollonian", word)
-    assert g == GroupElement("Apollonian", word, g.matrix)
-    wrong = element("Apollonian", word[:2]).matrix
-    with pytest.raises(ValueError):
-        GroupElement("Apollonian", word, wrong)
-    with pytest.raises(ValueError):
-        GroupElement("Apollonian", word[::-1], g.matrix)
+    assert g.matrix == _imul(_imul(APOLLONIAN["S1234"], APOLLONIAN["S5234"]),
+                             APOLLONIAN["S1634"])
+    assert g == GroupElement("Apollonian", list(word))
     assert (element("Apollonian", word[:1]) * element("Apollonian", word[1:])
             == g)
+
+
+def test_elements_of_two_tables_do_not_multiply():
+    with pytest.raises(ValueError, match="different tables"):
+        element("Apollonian", ("S1234",)) * element("Platonic", ("R1",))
 
 
 def reference_apply(g: GroupElement, f: FMatrix) -> FMatrix:
@@ -222,3 +230,62 @@ def test_ordering_element_rejects_out_of_range():
         ordering_element(0)
     with pytest.raises(ValueError):
         ordering_element(9)
+
+
+def test_antipodal_row_determines_the_configuration():
+    # Exact certificate, on ints from the generator tables, that the 16
+    # Apollonian generators are the reflections in the facets of a Coxeter
+    # polytope of hyperbolic 4-space (Vinberg, Russian Math. Surveys 40,
+    # 1985) with e5 strictly inside, and that the Platonic group fixes e5
+    # and permutes them.  So only the Platonic words of the group they
+    # generate fix the row e5: two configurations gF and g'F of an
+    # invertible F with the same antipodal row are one configuration with
+    # its rows reordered, and the geometric walk keys its states on mu.
+    G = G_SIGMA_F.to_int_rows()
+    e5 = (0, 0, 0, 0, 1)
+    ident = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+
+    def form(x, y):
+        return sum(x[i] * G[i][j] * y[j] for i in range(5) for j in range(5))
+
+    # rows under g -> row * g keep the form G, of signature (4, 1): e5 is
+    # timelike and the Schur complement of G[4][4] is 2 I
+    for s in itertools.chain(APOLLONIAN.values(), PLATONIC.values()):
+        assert _imul(_imul(s, G), tuple(zip(*s))) == tuple(map(tuple, G))
+    assert form(e5, e5) == -1
+    assert [[G[i][j] - G[i][4] * G[4][j] // G[4][4] for j in range(4)]
+            for i in range(4)] == [[2 * (i == j) for j in range(4)]
+                                   for i in range(4)]
+    # each generator is a reflection: I - S has rank 1, and its nonzero
+    # row, oriented towards e5, is the mirror's normal
+    normals = {}
+    for lab, s in APOLLONIAN.items():
+        rows = [[ident[i][j] - s[i][j] for j in range(5)] for i in range(5)]
+        n = next(r for r in rows if any(r))
+        assert all(r[i] * n[j] == r[j] * n[i] for r in rows
+                   for i in range(5) for j in range(5)), lab
+        side = form(e5, n)
+        assert side != 0, lab
+        normals[lab] = n if side > 0 else [-x for x in n]
+    # Vinberg's condition on every pair: a right angle or disjoint mirrors
+    ratios = Counter()
+    for a, b in itertools.combinations(normals.values(), 2):
+        p = form(a, b)
+        assert p <= 0
+        assert p == 0 or p * p >= form(a, a) * form(b, b)
+        ratios[Fraction(p * p, form(a, a) * form(b, b))] += 1
+    assert ratios == {0: 32, 1: 48, 4: 32, 9: 8}
+    # every mirror is a facet: e5 + e5 S lies in hyperbolic space, on
+    # mirror S and strictly inside the 15 other half-spaces
+    for lab, s in APOLLONIAN.items():
+        point = [e5[j] + s[4][j] for j in range(5)]
+        assert form(point, point) < 0, lab
+        assert form(point, normals[lab]) == 0, lab
+        assert all(form(point, n) > 0 for other, n in normals.items()
+                   if other != lab), lab
+    # the Platonic generators fix e5 and, by conjugation, permute the 16
+    # (each is an involution, so P S P^-1 = P S P)
+    tables = set(APOLLONIAN.values())
+    for lab, p in PLATONIC.items():
+        assert p[4] == e5 and _imul(p, p) == ident, lab
+        assert {_imul(_imul(p, s), p) for s in tables} == tables, lab

@@ -107,6 +107,22 @@ def test_orthoplex_tangency_graph_all_builtin():
                     assert rel.tangent, (i, j)
 
 
+def test_classify_nested_pairs():
+    # a unit sphere holds a sphere of radius 1/2, once touching its inside
+    # (inversive product 1) and once at its centre (product 5/4)
+    outer = coords_from_sphere(
+        HonestSphere(center=(0, 0, 0), oriented_radius=1))
+    half = Fraction(1, 2)
+    touching = coords_from_sphere(
+        HonestSphere(center=(half, 0, 0), oriented_radius=half))
+    inside = coords_from_sphere(
+        HonestSphere(center=(0, 0, 0), oriented_radius=half))
+    assert classify_pair(outer, touching).kind == "tangent_nested"
+    rel = classify_pair(outer, inside)
+    assert rel.kind == "disjoint_nested"
+    assert rel.value == QSqrt2(Fraction(5, 4))
+
+
 def test_classify_intersecting_value():
     # unit spheres with centers distance 1 apart meet at 60 degrees
     u = coords_from_sphere(HonestSphere(center=(0, 0, 0), oriented_radius=1))

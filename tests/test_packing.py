@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from orthoplex import packing
 from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
-from orthoplex.config import F0, F1, F7D, BendVector, descartes_form
+from orthoplex.config import (
+    F0, F1, F7D, BendVector, FMatrix, check_gramian, descartes_form)
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
@@ -521,10 +522,24 @@ def test_geometric_walk_matches_reference():
             assert rep.frontier_exhausted == exhausted
 
 
+def test_geometric_walk_needs_an_invertible_seed():
+    # mu identifies a geometric state only for an invertible seed
+    # (test_groups.test_antipodal_row_determines_the_configuration); F1
+    # with its first row twice is singular, and its walk used to report
+    # 16 states of a bounded packing
+    rows = F1.rows
+    singular = FMatrix((rows[0], rows[0]) + rows[2:])
+    assert not check_gramian(singular)
+    with pytest.raises(WalkInputError, match="Gramian"):
+        generate(PackingSpec(seed=singular, bend_cap=8, mode="geom"))
+
+
 @pytest.mark.parametrize("name", sorted(SEEDS) + ["F1_D36"])
 def test_kernel_moves_are_the_apollonian_generators(name):
-    # with nothing pruned, the 16 children of a start are the canonical
-    # forms of its 16 images under the verified generator tables
+    # with nothing pruned, the 16 children of a start are its 16 images
+    # under the verified generator tables: in bend mode their canonical
+    # forms, in geometric mode, whose states are not canonical, their
+    # antipodal rows, each with its set of eight spheres
     seed = SEEDS.get(name, F1_D36)
     d = math.lcm(*(x.denominator for v in seed.rows for c in v
                    for x in (c.rat, c.irr)))
@@ -539,6 +554,12 @@ def test_kernel_moves_are_the_apollonian_generators(name):
         return sorted(map(tuple, states.swapaxes(0, 1).reshape(
             states.shape[1], -1).tolist()))
 
+    def spheres(states):
+        eight = np.concatenate([states[:4], 2 * states[4:] - states[:4]])
+        return sorted(
+            (tuple(mu), {tuple(v) for v in vs}) for mu, vs in
+            zip(states[4].tolist(), eight.swapaxes(0, 1).tolist()))
+
     for geom in (False, True):
         children = np.concatenate(list(_children(start(seed, geom), cap)),
                                   axis=1)
@@ -546,7 +567,8 @@ def test_kernel_moves_are_the_apollonian_generators(name):
             start(apply(element("Apollonian", (g,)), seed), geom)
             for g in APOLLONIAN], axis=1)
         assert children.shape[1] == len(APOLLONIAN) == 16
-        assert rows(children) == rows(images)
+        key = spheres if geom else rows
+        assert key(children) == key(images)
 
 
 def test_orbit_bend_vectors_all_satisfy_cone():
@@ -571,7 +593,7 @@ def test_export_v0_configuration_alone():
         if row.serialize() not in seen:
             seen.add(row.serialize())
             spheres.append(row)
-    rep = PackingReport(mode="geom", bend_cap=2, bends=(0, 1, 2),
+    rep = PackingReport(mode="geom", bend_cap=2,
                         bend_multiplicity={0: 2, 1: 4, 2: 2},
                         classification="planar", epsilon=1,
                         frontier_exhausted=True, states=1,
@@ -583,10 +605,9 @@ def test_export_v0_configuration_alone():
 
 
 def test_export_empty_report_is_header_only():
-    rep = PackingReport(mode="geom", bend_cap=1, bends=(),
-                        bend_multiplicity={}, classification="full_space",
-                        epsilon=1, frontier_exhausted=True, states=1,
-                        spheres=())
+    rep = PackingReport(mode="geom", bend_cap=1, bend_multiplicity={},
+                        classification="full_space", epsilon=1,
+                        frontier_exhausted=True, states=1, spheres=())
     blob = export_scene(rep, "csv").decode()
     assert blob == ("kind,a,b,xhat,yhat,zhat,bend,cx,cy,cz,r,h\n")
 

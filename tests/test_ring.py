@@ -114,6 +114,20 @@ def test_singular_matrix_error_carries_matrix():
     assert m.det() == QSqrt2(0)
 
 
+def test_matrix_times_scalar_scales():
+    m = Mat.from_rows([[1, Fraction(1, 2)], [SQRT2, 0]])
+    assert m * 2 == 2 * m == m.scale(2) == Mat.from_rows(
+        [[2, 1], [2 * SQRT2, 0]])
+    assert m * SQRT2 == Mat.from_rows([[SQRT2, SQRT2 / 2], [2, 0]])
+
+
+def test_to_int_rows_refuses_non_integers():
+    assert Mat.from_rows([[1, -2], [0, 3]]).to_int_rows() == [[1, -2], [0, 3]]
+    for entry in (Fraction(1, 2), SQRT2):
+        with pytest.raises(ValueError, match="non-integer"):
+            Mat.from_rows([[1, entry]]).to_int_rows()
+
+
 def test_shape_errors():
     a = Mat.from_rows([[1, 2, 3]])
     with pytest.raises(ValueError):
