@@ -83,7 +83,7 @@ def _run_packing(args, mode: str):
     and with it numpy."""
     from . import packing
     seed = _load_seed(args.seed)
-    budget = packing.resolve_budget(getattr(args, "budget", None))
+    budget = packing.DEFAULT_BUDGET if args.budget is None else args.budget
     return packing.generate(packing.PackingSpec(
         seed=seed, bend_cap=args.cap, mode=mode, budget=budget))
 
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="largest bend to enumerate")
             p.add_argument("--budget", type=int, default=None, metavar="N",
                            help="walk at most N states, in whole BFS levels "
-                                "(default 10^7, or env ORTHOPLEX_BUDGET)")
+                                "(default 10^7)")
 
     p = sub.add_parser("gen", help="enumerate a packing orbit")
     add_seed(p)

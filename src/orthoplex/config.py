@@ -34,17 +34,6 @@ Q_F = Mat.from_rows([
     [-1, -1, -1, -1, 2],
 ])
 
-DECOMPRESSION = Mat.from_rows([
-    [1, 0, 0, 0, 0],
-    [0, 1, 0, 0, 0],
-    [0, 0, 1, 0, 0],
-    [0, 0, 0, 1, 0],
-    [-1, 0, 0, 0, 2],
-    [0, -1, 0, 0, 2],
-    [0, 0, -1, 0, 2],
-    [0, 0, 0, -1, 2],
-])
-
 
 class BendVector(Tuple[int, ...]):
     """The bend column (b1, b2, b3, b4, b_mu) of an integral F-matrix.
@@ -90,17 +79,11 @@ class FMatrix:
     def mat(self) -> Mat:
         return Mat.from_rows([list(r) for r in self.rows])
 
-    @property
-    def antipodal_row(self) -> Coord5:
-        return self.rows[4]
-
-    def complement_row(self, k: int) -> Coord5:
-        """Coordinate vector of sphere k+4, i.e. 2*v_mu - v_k (k in 0..3)."""
-        return self.rows[4].scale(2) - self.rows[k]
-
     def sphere_rows(self) -> Tuple[Coord5, ...]:
-        """All eight sphere rows in admissible order."""
-        return tuple(self.rows[:4]) + tuple(self.complement_row(k) for k in range(4))
+        """All eight sphere rows in admissible order: v1..v4, then the
+        complements 2*v_mu - v_k."""
+        two_mu = self.rows[4].scale(2)
+        return self.rows[:4] + tuple(two_mu - v for v in self.rows[:4])
 
     def bend_vector(self) -> BendVector:
         """The bend column as ints; the one place its integrality is
@@ -108,10 +91,6 @@ class FMatrix:
         if not all(r.b.is_integer() for r in self.rows):
             raise ValueError("bend column is not integral")
         return BendVector(r.b.xyd[0] for r in self.rows)
-
-    def apply_mobius(self, m: Mat) -> "FMatrix":
-        """Right action by a Moebius matrix (acts on each row)."""
-        return FMatrix.from_mat(self.mat() * m)
 
     def to_json_dict(self) -> dict:
         return {"rows": [list(r.serialize()) for r in self.rows]}
@@ -155,8 +134,7 @@ def f_from_v(v: VMatrix) -> FMatrix:
 
 
 def v_from_f(f: FMatrix) -> VMatrix:
-    m = DECOMPRESSION * f.mat()
-    return VMatrix(tuple(Coord5(*m.row(i)) for i in range(8)))
+    return VMatrix(f.sphere_rows())
 
 
 def check_orthoplex_graph(v: VMatrix) -> bool:

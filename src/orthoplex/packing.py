@@ -57,7 +57,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -570,16 +569,3 @@ def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
         lines.append(",".join(
             "" if rec[f] is None else str(rec[f]) for f in _CSV_FIELDS))
     return ("\n".join(lines) + "\n").encode()
-
-
-def resolve_budget(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("ORTHOPLEX_BUDGET")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise WalkInputError(
-            f"ORTHOPLEX_BUDGET must be an integer, got {env!r}") from None

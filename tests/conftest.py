@@ -12,8 +12,10 @@ import pytest
 
 from orthoplex import config
 from orthoplex.groups import APOLLONIAN, element
-from orthoplex.inversive import Coord5, mobius_translate
+from orthoplex.inversive import Coord5
 from orthoplex.ring import QSqrt2
+
+from mobius import apply_mobius, mobius_translate
 
 # all n = 0,1,2 (mod 4) from 0 through 68
 EXPECTED_BENDS_P0 = tuple(sorted(
@@ -53,8 +55,8 @@ EXPECTED_MOD8_REPRESENTATIVES = (
 SEEDS = {"F0": config.F0, "F1": config.F1, "F7d": config.F7D}
 
 # a seed whose F-matrix has denominators up to 36
-F1_D36 = config.F1.apply_mobius(
-    mobius_translate(Fraction(1, 2), Fraction(1, 3), 0))
+F1_D36 = apply_mobius(
+    config.F1, mobius_translate(Fraction(1, 2), Fraction(1, 3), 0))
 
 
 @pytest.fixture

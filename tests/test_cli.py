@@ -13,10 +13,10 @@ import pytest
 from orthoplex import cli, packing
 from orthoplex.config import F0, F1, FMatrix
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import mobius_rescale, mobius_translate
 from orthoplex.ring import SQRT2
 
 from conftest import EXPECTED_BENDS_P1
+from mobius import apply_mobius, mobius_rescale, mobius_translate
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +179,7 @@ def test_malformed_seed_file(tmp_path, capsys):
     # every subcommand that takes a seed, on every kind of bad seed: one
     # error line and exit 2, except where the seed is valid for the command
     def f1_rescaled(t):
-        return json.dumps(F1.apply_mobius(mobius_rescale(t)).to_json_dict())
+        return json.dumps(apply_mobius(F1, mobius_rescale(t)).to_json_dict())
 
     zero_den = F1.to_json_dict()
     zero_den["rows"][0][0] = "1/0"
@@ -296,7 +296,7 @@ def test_parabolic_start_descends_within_the_step_limit(tmp_path, capsys,
 def test_geometric_int64_headroom_guard(tmp_path, capsys):
     # F1 moved by 2**27: coordinates near 2**54, past the geometric walk's
     # headroom, while the bends, and so the bend walk, stay F1's
-    far = F1.apply_mobius(mobius_translate(2 ** 27, 0, 0))
+    far = apply_mobius(F1, mobius_translate(2 ** 27, 0, 0))
     path = tmp_path / "far.json"
     path.write_text(json.dumps(far.to_json_dict()))
     for argv in (["export", "--cap", "8"],
@@ -396,17 +396,15 @@ def test_budget_exhaustion_exit_code(capsys):
         assert_one_error_line(err)
 
 
-def test_budget_env_override(monkeypatch, capsys):
+def test_budget_ignores_the_environment(monkeypatch, capsys):
+    # --budget is the walk budget's one source: identical invocations print
+    # identical bytes whatever the environment holds
+    argv = ["bends", "--seed", "builtin:F1", "--cap", "68"]
+    monkeypatch.delenv("ORTHOPLEX_BUDGET", raising=False)
+    unset = run_cli(argv, capsys)
     monkeypatch.setenv("ORTHOPLEX_BUDGET", "3")
-    code, _, _ = run_cli(["bends", "--seed", "builtin:F1", "--cap", "68"],
-                         capsys)
-    assert code == 3
-    monkeypatch.setenv("ORTHOPLEX_BUDGET", "abc")
-    code, out, err = run_cli(["bends", "--seed", "builtin:F1", "--cap", "68"],
-                             capsys)
-    assert code == 2 and out == "" and "ORTHOPLEX_BUDGET" in err
-    assert_one_error_line(err)
-    monkeypatch.delenv("ORTHOPLEX_BUDGET")
+    assert run_cli(argv, capsys) == unset
+    assert unset[0] == 0
 
 
 def test_gen_out_file(tmp_path, capsys, schema):
@@ -534,3 +532,17 @@ def test_commands_that_never_walk_leave_numpy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["obstruct", "--seed", "builtin:F7d", "--json"]
+    code, out, _ = run_cli(argv, capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "orthoplex", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, "")
+    assert code == 0
+    bare = subprocess.run([sys.executable, "-m", "orthoplex"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert bare.returncode == 2 and bare.stderr.startswith("usage: orthoplex")

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoplex.config import (
-    BendVector, DECOMPRESSION, F0, F1, F7D, FMatrix, antipodal, check_dgm,
+    BendVector, F0, F1, F7D, FMatrix, antipodal, check_dgm,
     check_gramian, check_orthoplex_graph, complete_quadruple, descartes_form,
     VMatrix, f_from_v, qsqrt2_sqrt, solve_b_mu, v_from_f,
 )
 from orthoplex.groups import APOLLONIAN, element, apply
-from orthoplex.inversive import (
-    HonestSphere, coords_from_sphere, mobius_inversion, mobius_rescale,
-    mobius_translate,
-)
+from orthoplex.inversive import HonestSphere
 from orthoplex.ring import Mat, QSqrt2, SQRT2
 
 from conftest import coord5, random_apollonian_word
+from mobius import (
+    apply_mobius, apply_row, coords_from_sphere, mobius_inversion,
+    mobius_rescale, mobius_translate,
+)
 
 
 def test_antipodal_standard_rows():
@@ -37,7 +38,7 @@ def test_antipodal_independence_all_builtin():
     for f in (F0, F1, F7D):
         v = v_from_f(f)
         sums = {antipodal(v.rows[k], v.rows[k + 4]) for k in range(4)}
-        assert sums == {f.antipodal_row}
+        assert sums == {f.rows[4]}
 
 
 def test_decompression_recovers_full_v_matrices():
@@ -73,8 +74,14 @@ def test_orthoplex_graph_rejects_misplaced_spheres():
 
 
 def test_decompression_literal():
-    assert DECOMPRESSION.row(4) == tuple(
-        QSqrt2(x) for x in (-1, 0, 0, 0, 2))
+    # row 5 of the decompression matrix D is (-1, 0, 0, 0, 2): sphere k+4 is
+    # 2*v_mu - v_k
+    for f in (F0, F1, F7D):
+        rows = v_from_f(f).rows
+        assert rows[:4] == f.rows[:4]
+        for k in range(4):
+            assert rows[k + 4] == tuple(
+                2 * mu - x for mu, x in zip(f.rows[4], f.rows[k]))
 
 
 def test_gramian_examples():
@@ -131,8 +138,8 @@ def test_qsqrt2_sqrt_cases():
 
 def test_complete_quadruple_standard():
     fa, fb = complete_quadruple(F0.rows[:4])
-    assert fa.antipodal_row == coord5(1, 1, 0, 0, 0)
-    assert fb.antipodal_row == coord5(5, 1, SQRT2, SQRT2, 0)
+    assert fa.rows[4] == coord5(1, 1, 0, 0, 0)
+    assert fb.rows[4] == coord5(5, 1, SQRT2, SQRT2, 0)
     assert check_dgm(fa) and check_dgm(fb)
     assert check_gramian(fa) and check_gramian(fb)
 
@@ -141,8 +148,8 @@ def test_complete_quadruple_inversion_identity():
     rows = F1.rows[:4]
     fa, fb = complete_quadruple(rows)
     total = rows[0] + rows[1] + rows[2] + rows[3]
-    assert fa.antipodal_row + fb.antipodal_row == total
-    assert F1.antipodal_row in (fa.antipodal_row, fb.antipodal_row)
+    assert fa.rows[4] + fb.rows[4] == total
+    assert F1.rows[4] in (fa.rows[4], fb.rows[4])
 
 
 def test_complete_quadruple_exchanged_by_rf():
@@ -192,7 +199,7 @@ def test_bend_vector_refuses_non_int_entries(bad):
 def test_bend_vector_of_non_integral_column():
     # F1 dilated by 2 has half-integral bends, dilated by sqrt2 irrational ones
     for t in (2, SQRT2):
-        f = F1.apply_mobius(mobius_rescale(t))
+        f = apply_mobius(F1, mobius_rescale(t))
         assert check_gramian(f) and check_dgm(f)
         with pytest.raises(ValueError, match="integral"):
             f.bend_vector()
@@ -216,8 +223,8 @@ def test_equivariance_under_mobius():
     for m in (mobius_inversion(), mobius_rescale(2), mobius_translate(1, 0, 1)):
         for f in (F0, F1):
             left = f_from_v(
-                type(v_from_f(f))(tuple(r.apply(m) for r in v_from_f(f).rows)))
-            assert left == f.apply_mobius(m)
+                type(v_from_f(f))(tuple(apply_row(r, m) for r in v_from_f(f).rows)))
+            assert left == apply_mobius(f, m)
             assert check_gramian(left) and check_dgm(left)
 
 

@@ -88,7 +88,7 @@ def test_apollonian_negative_control():
 def test_apply_produces_adjacent_configuration():
     g = element("Apollonian", ("S1234",))
     image = apply(g, F0)
-    assert image.antipodal_row == coord5(5, 1, SQRT2, SQRT2, 0)
+    assert image.rows[4] == coord5(5, 1, SQRT2, SQRT2, 0)
     assert image.rows[:4] == F0.rows[:4]
     assert apply(g, image) == F0
     assert check_gramian(image) and check_dgm(image)

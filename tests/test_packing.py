@@ -20,7 +20,7 @@ from orthoplex.inversive import classify_pair
 from orthoplex.packing import (
     DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
-    missing_admissible, orbit_bend_vectors, resolve_budget,
+    missing_admissible, orbit_bend_vectors,
 )
 from orthoplex.ring import QSqrt2
 
@@ -449,7 +449,7 @@ def reference_geom_walk(seed, cap, budget):
         return frozenset(map(frozenset, zip(rows, his))), mu
 
     rows = seed.rows[:4]
-    mu = seed.antipodal_row
+    mu = seed.rows[4]
     his = [mu.scale(2) - r for r in rows]
     visited = {key(rows, his, mu)}
     spheres = set(rows) | set(his)
@@ -643,19 +643,6 @@ def test_reports_are_deterministic():
     a = generate(PackingSpec(seed=F1, bend_cap=40)).to_json_dict()
     b = generate(PackingSpec(seed=F1, bend_cap=40)).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_resolve_budget_env(monkeypatch):
-    monkeypatch.delenv("ORTHOPLEX_BUDGET", raising=False)
-    assert resolve_budget() == 10 ** 7
-    assert resolve_budget(123) == 123
-    monkeypatch.setenv("ORTHOPLEX_BUDGET", "456")
-    assert resolve_budget() == 456
-    assert resolve_budget(123) == 123
-    monkeypatch.setenv("ORTHOPLEX_BUDGET", "abc")
-    with pytest.raises(WalkInputError, match="ORTHOPLEX_BUDGET"):
-        resolve_budget()
-    assert resolve_budget(123) == 123
 
 
 def test_non_integral_seed_rejected():
