@@ -9,9 +9,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .config import BendVector, FMatrix, descartes_form
 from .groups import GroupElement, IntRows, _rows
@@ -149,13 +150,15 @@ def enumerate_mod8() -> FiltrationReport:
 
 
 class GaussianInt:
-    """An element of Z[i] with arbitrary-precision components."""
+    """An element of Z[i] with arbitrary-precision components; each part
+    goes through ``operator.index``, so a float, ``Fraction`` or str is
+    refused rather than truncated."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0):
-        object.__setattr__(self, "re", int(re))
-        object.__setattr__(self, "im", int(im))
+        object.__setattr__(self, "re", operator.index(re))
+        object.__setattr__(self, "im", operator.index(im))
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianInt is immutable")
@@ -409,7 +412,9 @@ class QuaternaryForm:
         return ((a, 0, b, -c), (0, a, c, b), (b, c, d, 0), (-c, b, 0, d))
 
     def value(self, eta: Sequence[int]) -> int:
-        a1, a2, b1, b2 = map(int, eta)
+        """Q_b(eta) as an exact Python int; each part of eta goes through
+        ``operator.index``, so a float, ``Fraction`` or str is refused."""
+        a1, a2, b1, b2 = map(operator.index, eta)
         return (self.A * (a1 * a1 + a2 * a2)
                 + 2 * self.B * (a1 * b1 + a2 * b2)
                 + 2 * self.C * (a2 * b1 - a1 * b2)
@@ -482,67 +487,95 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % f for f in range(2, math.isqrt(p) + 1))
 
 
-@functools.lru_cache(maxsize=64)
-def _square_roots(p: int) -> Dict[int, int]:
-    """Each square mod p mapped to its smallest root.  The cache keeps at
-    most 64 tables of (p+1)/2 entries each, so however large ``qform
-    --pmax`` is, at most 32*(pmax+1) entries stay alive."""
-    squares: Dict[int, int] = {}
-    for u in range(p):
-        squares.setdefault(u * u % p, u)
-    return squares
+def _sqrt_mod(x: int, p: int) -> int:
+    """The least s with s^2 = x (mod p), for x in [0, p) a square mod the
+    odd prime p, by Tonelli-Shanks: s = x^((p+1)/4) when p = 3 (mod 4),
+    else the general loop over the 2-power part of p - 1.  The root is
+    checked before it is returned."""
+    if x == 0:
+        return 0
+    if p % 4 == 3:
+        s = pow(x, (p + 1) // 4, p)
+    else:
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q, e = q // 2, e + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, s = pow(z, q, p), pow(x, q, p), pow(x, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (e - i - 1), p)
+            e, c = i, b * b % p
+            t, s = t * c % p, s * b % p
+    if s * s % p != x:
+        raise AssertionError(f"{s} is not a square root of {x} mod {p}")
+    return min(s, p - s)
 
 
 @functools.lru_cache(maxsize=4096)
 def _two_squares(p: int, r: int) -> Tuple[int, int]:
     """The least u1, with the least u2 for it, such that u1^2 + u2^2 = r
-    (mod p); every r has one when p is an odd prime."""
-    squares = _square_roots(p)
+    (mod p); every r has one when p is an odd prime.  u1 walks up from 0
+    until r - u1^2 is a square by Euler's criterion, and ``_sqrt_mod``
+    takes its least root, so no table of squares is kept."""
+    half = (p - 1) // 2
     for u1 in range(p):
-        u2 = squares.get((r - u1 * u1) % p)
-        if u2 is not None:
-            return u1, u2
+        x = (r - u1 * u1) % p
+        if x == 0 or pow(x, half, p) == 1:
+            return u1, _sqrt_mod(x, p)
+
+
+def _root_mod(A: int, B: int, C: int, D: int, p: int,
+              w: Sequence[int]) -> Tuple[int, ...]:
+    """``w`` reduced mod p, checked to be a nonzero root of the form with
+    coefficients (A, B, C, D) mod p."""
+    a1, a2, b1, b2 = w = tuple(x % p for x in w)
+    if not any(w) or (A * (a1 * a1 + a2 * a2)
+                      + 2 * B * (a1 * b1 + a2 * b2)
+                      + 2 * C * (a2 * b1 - a1 * b2)
+                      + D * (b1 * b1 + b2 * b2)) % p:
+        raise AssertionError(f"witness {w} is not a root mod {p}")
+    return w
 
 
 def is_isotropic_at(q: QuaternaryForm, p: int) -> Tuple[bool, Tuple[int, ...]]:
     """Whether the form has a nonzero root mod p, with a verified witness.
 
-    A, B, C and D are reduced mod p once, and every witness is checked
-    against the reduced coefficients.  No branch searches.  Mod 2 the form
-    is A(a1 + a2) + D(b1 + b2), so the witness is (1, 0, 0, 0) for A even,
-    else (0, 0, 1, 0) for D even, else (1, 0, 1, 0); for p dividing A it is
-    (1, 0, 0, 0); for odd p dividing b, with A a unit, it is the degenerate
-    eigenvector (C, -B, 0, A), a root because AD - B^2 - C^2 = b^2.  Away
-    from the discriminant the root (alpha, 1) completes the square in the
-    hermitian picture: A*alpha + B + iC = u1 + i*u2 with the least u1, and
-    the least u2 for it, solving u1^2 + u2^2 = -b^2 (mod p).  Primality and
-    those (u1, u2) per (p, -b^2 mod p) sit in LRU caches of 1,024 and 4,096
-    entries.
+    No branch searches, and every witness is checked against the
+    coefficients reduced mod p.  Mod 2 the form is A(a1 + a2) + D(b1 + b2),
+    so the witness is (1, 0, 0, 0) for A even, else (0, 0, 1, 0) for D
+    even, else (1, 0, 1, 0); for p dividing A it is (1, 0, 0, 0); for odd p
+    dividing b, with A a unit, it is the degenerate eigenvector
+    (C, -B, 0, A), a root because AD - B^2 - C^2 = b^2.  Away from the
+    discriminant the root (alpha, 1) completes the square in the hermitian
+    picture: A*alpha + B + iC = u1 + i*u2 with the least u1, and the least
+    u2 for it, solving u1^2 + u2^2 = -b^2 (mod p).  ``_two_squares`` finds
+    them by Euler's criterion and Tonelli-Shanks, with no per-prime table.
+    Primality and those (u1, u2) per (p, -b^2 mod p) sit in LRU caches of
+    1,024 and 4,096 entries.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    A, B, C, D = q.A % p, q.B % p, q.C % p, q.D % p
-
-    def root(w) -> Tuple[int, ...]:
-        a1, a2, b1, b2 = w = tuple(x % p for x in w)
-        if not any(w) or (A * (a1 * a1 + a2 * a2)
-                          + 2 * B * (a1 * b1 + a2 * b2)
-                          + 2 * C * (a2 * b1 - a1 * b2)
-                          + D * (b1 * b1 + b2 * b2)) % p:
-            raise AssertionError(f"witness {w} is not a root mod {p}")
-        return w
+    A = q.A % p
 
     if p == 2:
         # Q = A(a1 + a2) + D(b1 + b2) (mod 2)
-        return True, root((1, 0, 0, 0) if A == 0 else (0, 0, 1, 0) if D == 0
-                          else (1, 0, 1, 0))
+        D = q.D % 2
+        return True, _root_mod(A, q.B % 2, q.C % 2, D, 2,
+                               (1, 0, 0, 0) if A == 0 else (0, 0, 1, 0)
+                               if D == 0 else (1, 0, 1, 0))
 
     if A == 0:
         return True, (1, 0, 0, 0)
 
+    B, C, D = q.B % p, q.C % p, q.D % p
     if q.shift_b % p == 0:
         # M (C, -B, 0, A) = (0, 0, 0, AD - B^2 - C^2) = (0, 0, 0, b^2)
-        return True, root(degenerate_eigenvectors(q)[0])
+        return True, _root_mod(A, B, C, D, p, degenerate_eigenvectors(q)[0])
 
     # p coprime to 2b: A*Q = |A*alpha + (B+iC)*beta|^2 + b^2*|beta|^2, so
     # pick beta = 1 and solve u1^2 + u2^2 = -b^2 (mod p)

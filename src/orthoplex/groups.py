@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -24,11 +25,8 @@ def _rows(*rows) -> IntRows:
 
 
 def _imul(a: IntRows, b: IntRows) -> IntRows:
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 _IDENTITY5 = _rows(*[[1 if i == j else 0 for j in range(5)] for i in range(5)])

@@ -247,6 +247,12 @@ def gauss_jordan(a: List[List[QSqrt2]], ncols: int) -> Tuple[List[int], QSqrt2]:
     return pivots, det
 
 
+def _set_mat(m: "Mat", rows: int, cols: int, entries: Tuple[QSqrt2, ...]):
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+
+
 class Mat:
     """A dense exact matrix over Q[sqrt 2], stored row-major and immutable."""
 
@@ -256,9 +262,7 @@ class Mat:
         entries = tuple(QSqrt2.coerce(e) for e in entries)
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        _set_mat(self, rows, cols, entries)
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -313,23 +317,31 @@ class Mat:
         """Exact product on scaled integers: with A = (X + Y sqrt2)/Da and
         B = (U + V sqrt2)/Db, entry (i, j) is (r + s sqrt2)/(Da Db), where
         r = sum XU + 2 YV and s = sum XV + YU over Python ints, so nothing
-        overflows and each result entry is reduced once."""
+        overflows and each result entry is reduced once.  The sums over Y
+        or V are skipped when that factor is rational (all of it is 0)."""
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
             n, m, p = self.rows, self.cols, other.cols
             da, x, y = self._scaled()
             db, u, v = other._scaled()
+            irr_a, irr_b = any(y), any(v)
             d = da * db
             cols = [(u[j::p], v[j::p]) for j in range(p)]
             out = []
             for i in range(n):
                 xi, yi = x[i * m:(i + 1) * m], y[i * m:(i + 1) * m]
                 for uj, vj in cols:
-                    r = sum(map(mul, xi, uj)) + 2 * sum(map(mul, yi, vj))
-                    s = sum(map(mul, xi, vj)) + sum(map(mul, yi, uj))
+                    r = sum(map(mul, xi, uj))
+                    s = sum(map(mul, xi, vj)) if irr_b else 0
+                    if irr_a:
+                        s += sum(map(mul, yi, uj))
+                        if irr_b:
+                            r += 2 * sum(map(mul, yi, vj))
                     out.append(_reduced(r, s, d))
-            return Mat(n, p, out)
+            prod = object.__new__(Mat)
+            _set_mat(prod, n, p, tuple(out))
+            return prod
         return self.scale(other)
 
     __rmul__ = scale

@@ -477,11 +477,61 @@ def test_isotropy_and_local_classes_match_references():
             assert (local_classes(q, restricted)
                     == reference_local_classes(q, restricted)), q
     assert negative_branches == {"A", "b"}
-    # the square-root tables, the (u1, u2) memo and the primality test are
-    # cached, each with a bound
-    for cached in (arithmetic._square_roots, arithmetic._two_squares,
-                   arithmetic._is_prime):
+    # the (u1, u2) memo and the primality test are cached, each with a bound
+    for cached in (arithmetic._two_squares, arithmetic._is_prime):
         assert cached.cache_info().maxsize is not None, cached
+
+
+def least_two_squares(p: int):
+    """Brute-force oracle: r -> the least (u1, u2), ordered by u1 and then
+    u2, with u1^2 + u2^2 = r (mod p), read off the first occurrence of each
+    r in the row-major table of all p^2 pairs."""
+    u = np.arange(p, dtype=np.int64)
+    sums = (u[:, None] ** 2 + u[None, :] ** 2) % p
+    vals, first = np.unique(sums.ravel(), return_index=True)
+    return {int(r): divmod(int(i), p) for r, i in zip(vals, first)}
+
+
+def test_two_squares_is_the_least_pair():
+    for p in primes_below(600)[1:]:
+        want = least_two_squares(p)
+        assert len(want) == p
+        for r in range(p):
+            assert arithmetic._two_squares(p, r) == want[r], (p, r)
+
+
+def test_sqrt_mod_is_the_least_root():
+    # p = 3 (mod 4) and p = 1 (mod 4), including 2-adic depths 2 to 5
+    for p in (3, 7, 11, 5, 13, 17, 41, 97, 193, 257):
+        roots = {}
+        for s in range(p):
+            roots.setdefault(s * s % p, s)
+        for x, s in roots.items():
+            assert arithmetic._sqrt_mod(x, p) == s, (p, x)
+
+
+def test_form_value_takes_integers_only():
+    q1 = qform_from_bend_vector(F1.bend_vector())
+    assert (q1.A, q1.B, q1.C, q1.D) == (4, 0, -4, 5)
+    for bad in ((1.9, 0, 0, 0), (Fraction(1), 0, 0, 0), ("1", "0", "0", "0"),
+                (0, 0, 0, 2.0)):
+        with pytest.raises(TypeError):
+            q1.value(bad)
+    big = q1.value((np.int64(10 ** 9), 0, 0, 0))
+    assert big == 4 * 10 ** 18 and type(big) is int
+    # (3e9)^2 * 4 is past int64, so numpy arithmetic would wrap
+    huge = q1.value((np.int64(3 * 10 ** 9), 0, 0, 0))
+    assert huge == 36 * 10 ** 18 and type(huge) is int
+    assert q1.value((True, 0, 0, 0)) == q1.value((1, 0, 0, 0)) == 4
+
+
+def test_gaussian_parts_are_integers():
+    for re, im in ((1.7, 0.2), (1.0, 0), (Fraction(1), 0), (0, "1")):
+        with pytest.raises(TypeError):
+            GaussianInt(re, im)
+    z = GaussianInt(np.int64(3), np.int64(-4))
+    assert z == GaussianInt(3, -4)
+    assert type(z.re) is int and type(z.im) is int and z.norm() == 25
 
 
 def test_primes_below():

@@ -457,6 +457,27 @@ def test_qform_bytes_are_frozen(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# sha256 of ``qform --ordering K --pmax 20000 --json``, frozen from the
+# version whose two-squares witnesses came from a table of square roots
+QFORM_LARGE_PMAX_DIGESTS = {
+    ("F0", 1): "446cbe2e405c0f1d0003c5aaa56e2ef206f4cb6884e25c4ee39fff1aed87065d",
+    ("F0", 6): "52bf05fc34f2898e38e71f24ea69b70782f84c97aeaacdc03ebc94dcf16ecd8b",
+    ("F1", 1): "40290e03241f505983e03255538a5077f584c563dacde8cd03e27f7c3a74eba0",
+    ("F1", 6): "73a9bac52818cdafa3e175ac84224e54222b45df7846e5d197c902fa6587980c",
+    ("F7d", 1): "dabc453e597bffdfa51b436efcc363e2067efcb7d8ff0b5ec9ff5f9a3181c99a",
+    ("F7d", 6): "20537bddb808bef7a06faada18326df0bd10c495eea0e89ed0c7528c39e4aac3",
+}
+
+
+def test_qform_large_pmax_witnesses_are_frozen(capsys):
+    for (seed, k), digest in QFORM_LARGE_PMAX_DIGESTS.items():
+        argv = ["qform", "--seed", f"builtin:{seed}", "--ordering", str(k),
+                "--pmax", "20000", "--json"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 # sha256 of gen's stdout, frozen before gen went through the shared emitter
 GEN_DIGESTS = {
     ("F1", "30", "bend", False): "ed24dade1b05cde832df73ace2b3a8bcd1f1e52009f5363b05acdfcbec784916",

@@ -196,6 +196,27 @@ def test_element_multiplication_concatenates_words():
     assert ab.matrix == _imul(a.matrix, b.matrix)
 
 
+def triple_sum_imul(a, b):
+    """The integer product as a triple-index sum: _imul's loop before it
+    went by columns, kept as its oracle."""
+    n, m, p = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
+        for i in range(n))
+
+
+def test_imul_matches_triple_sum(rng):
+    for _ in range(200):
+        n, m, p = (rng.randint(1, 7) for _ in range(3))
+        a = tuple(tuple(rng.randint(-50, 50) for _ in range(m))
+                  for _ in range(n))
+        b = tuple(tuple(rng.randint(-50, 50) for _ in range(p))
+                  for _ in range(m))
+        assert _imul(a, b) == triple_sum_imul(a, b)
+    big = ((10 ** 30, -1), (3, 10 ** 20))
+    assert _imul(big, big) == triple_sum_imul(big, big)
+
+
 def test_random_words_stay_admissible(rng):
     for _ in range(100):
         g = random_apollonian_word(rng, max_len=12)

@@ -177,6 +177,43 @@ def test_product_matches_naive_accumulation(ab):
 
 
 @st.composite
+def rational_or_irrational_pairs(draw):
+    """Factors drawn whole-rational or irrational, one choice per factor,
+    so the products that skip the sqrt2 sums are all reached."""
+    n, m, p = draw(st.sampled_from(PRODUCT_SHAPES))
+    rational = st.builds(lambda k, r: QSqrt2(k * r), st.integers(-9, 9), MIXED)
+    irrational = st.builds(lambda k, r, s: QSqrt2(k * r, k * s),
+                           st.integers(-9, 9), MIXED, MIXED)
+
+    def factor(rows, cols):
+        entry = rational if draw(st.booleans()) else irrational
+        return Mat(rows, cols,
+                   draw(st.lists(entry, min_size=rows * cols,
+                                 max_size=rows * cols)))
+
+    return factor(n, m), factor(m, p)
+
+
+def entrywise_dot(a, b):
+    """Each product entry as a QSqrt2 dot product of a row and a column."""
+    return [sum((x * y for x, y in zip(a.row(i), b.col(j))), QSqrt2(0))
+            for i in range(a.rows) for j in range(b.cols)]
+
+
+@given(rational_or_irrational_pairs())
+@settings(max_examples=300, deadline=None)
+@example((Q_SIGMA, Mat(5, 1, [1, 0, SQRT2, Fraction(-1, 2), 3])))
+@example((Q_F, Mat(5, 1, [Fraction(1, 3), 2, 0, -1, 5])))
+@example((J_CHANGE_OF_VARIABLES, Q_SIGMA))
+def test_product_matches_entrywise_dot(ab):
+    a, b = ab
+    prod = a * b
+    assert prod.shape == (a.rows, b.cols)
+    assert all(type(e) is QSqrt2 for e in prod.entries)
+    assert list(prod.entries) == entrywise_dot(a, b)
+
+
+@st.composite
 def square_mats(draw):
     """5x5 matrices over Q[sqrt2]; about one in three is made singular by
     setting one row to a combination of two others."""
