@@ -11,8 +11,10 @@ another, each flipping one kept sphere of the move before it.  Bend mode
 and ``orbit_bend_vectors`` walk bends alone (C = 1).  Geometric mode
 walks C = 9 channels, the bend and then the rational and sqrt2 parts of
 a, xhat, yhat and zhat, all times the seed's common denominator; it also
-needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.
-``QSqrt2`` arithmetic only scales its seed in and its spheres out.
+needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.  The
+box test runs once per move, on the four new spheres of its batch and
+their three coordinates together.  ``QSqrt2`` arithmetic only scales the
+seed in; each sphere comes out as reduced triples over that denominator.
 
 A bend state is put in canonical form, the elementwise minimum of each
 pair sorted by a five-comparator min/max network, then mu, and deduped on
@@ -47,7 +49,10 @@ same-bend states first.
 
 The walk is single-threaded and breadth-first.  It takes whole levels
 while its state count stays within the budget, never the level that
-would pass it, so a report's ``states`` never exceeds its budget.  Order
+would pass it, so a report's ``states`` never exceeds its budget.  A
+geometric walk stops building that level as soon as its new states pass
+the budget: it holds no more of a refused level than the budget's room
+and one move's batch.  Order
 within a level is unspecified; every reported quantity is an aggregate
 over whole levels, and reports emit every collection sorted.
 """
@@ -59,7 +64,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -71,7 +75,7 @@ from .arithmetic import (  # noqa: F401
     seed_obstruction)
 from .config import BendVector, FMatrix, check_gramian
 from .inversive import Coord5, HonestSphere, sphere_from_coords
-from .ring import QSqrt2
+from .ring import _reduced
 
 DEFAULT_BUDGET = 10 ** 7
 DEFAULT_BOX = 10
@@ -253,14 +257,14 @@ def _nonneg(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _in_box(v: np.ndarray, box: int) -> np.ndarray:
-    """Which geometric rows (n, 9) are planes or have |xhat|, |yhat| and
-    |zhat| at most the integer ``box`` times |b|."""
-    bound = box * np.abs(v[:, 0])
-    ok = np.ones(len(v), dtype=bool)
-    for c in (3, 5, 7):
-        p, q = v[:, c], v[:, c + 1]
-        ok &= _nonneg(bound - p, -q) & _nonneg(bound + p, q)
-    return ok | (v[:, 0] == 0)
+    """Which geometric rows (..., 9) are planes or have |xhat|, |yhat| and
+    |zhat| at most the integer ``box`` times |b|: the three channels are
+    tested together, their rational parts ``v[..., 3::2]`` against their
+    sqrt2 parts ``v[..., 4::2]``."""
+    bound = box * np.abs(v[..., :1])
+    p, q = v[..., 3::2], v[..., 4::2]
+    ok = (_nonneg(bound - p, -q) & _nonneg(bound + p, q)).all(axis=-1)
+    return ok | (v[..., 0] == 0)
 
 
 def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
@@ -268,7 +272,8 @@ def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
     """The states of the moves from ``states`` that create a bend at most
     ``cap``, with ``climb`` raise mu's bend, and, with a ``box``, create a
     sphere that passes the box test; one batch per move pattern,
-    duplicates included.  The box sees only the moves that pass the cap."""
+    duplicates included.  The box sees only the moves that pass the cap,
+    the four new spheres of each in one test."""
     L, M = list(states[:4]), states[4]
     H = [2 * M - x for x in L]
     kept = list(L)
@@ -289,8 +294,8 @@ def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
         at = np.flatnonzero(ok)
         if box is not None and len(at):
             two_mu2 = 2 * mu2.take(at, axis=0)
-            at = at[np.logical_or.reduce(
-                [_in_box(two_mu2 - k.take(at, axis=0), box) for k in kept])]
+            new = np.stack([two_mu2 - k.take(at, axis=0) for k in kept])
+            at = at[_in_box(new, box).any(axis=0)]
         if len(at):
             yield _canonical([k.take(at, axis=0) for k in kept],
                              mu2.take(at, axis=0))
@@ -307,16 +312,22 @@ def _keys(states: np.ndarray) -> list:
     return voids.ravel().tolist()
 
 
-def _fresh(batches: Iterator[np.ndarray], seen: Set[bytes],
-           width: int) -> np.ndarray:
+def _fresh(batches: Iterator[np.ndarray], seen: Set[bytes], width: int,
+           room: float = math.inf) -> Optional[np.ndarray]:
     """The states (5, m, ``width``) of ``batches`` whose keys are not in
-    ``seen``, the first state of each key, their keys now in it."""
+    ``seen``, the first state of each key, their keys now in it; ``None``
+    as soon as there are more than ``room`` of them, the rest of
+    ``batches`` unread."""
     fresh = [np.empty((5, 0, width), dtype=np.int64)]
+    count = 0
     for kids in batches:
         keys = _keys(kids)
         # reversed, so each key maps to its first index
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         new = first.keys() - seen
+        count += len(new)
+        if count > room:
+            return None
         seen |= new
         at = np.fromiter(map(first.get, new), np.intp, len(new))
         fresh.append(kids.take(np.sort(at), axis=1))
@@ -409,8 +420,13 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
         taken += n
         out.append(reduce(frontier))
         kids = _children(frontier, cap, box, climb=climb)
-        frontier = (_distinct(kids, low) if climb
-                    else _fresh(kids, seen, seed.shape[1]))
+        if climb:
+            frontier = _distinct(kids, low)
+        else:
+            # a level past the budget is refused before it is whole
+            frontier = _fresh(kids, seen, seed.shape[1], budget - taken)
+            if frontier is None:
+                return out, taken, False
         if not frontier.shape[1]:
             return out, taken, True
         _check_headroom(int(np.abs(frontier).max()), headroom)
@@ -475,8 +491,8 @@ def _generate_geom(spec: PackingSpec):
     # which recurses to a RecursionError if it lands inside that import
     distinct = set(map(tuple, np.concatenate(found).tolist()))
     spheres = tuple(
-        Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2), QSqrt2(y, y2),
-               QSqrt2(z, z2)).scale(Fraction(1, d))
+        Coord5(_reduced(a, a2, d), _reduced(b, 0, d), _reduced(x, x2, d),
+               _reduced(y, y2, d), _reduced(z, z2, d))
         for b, a, a2, x, x2, y, y2, z, z2 in sorted(distinct))
     mult = Counter(row[0] // d for row in distinct)
     return mult, mult.get(0, 0), states, exhausted, spheres

@@ -511,6 +511,28 @@ def test_gen_bytes_are_frozen(tmp_path, capsys):
         path.unlink()
 
 
+# (exit code, sha256 of stdout) of geometric walks, frozen from the version
+# that tested each new sphere's box apart and built a budget-refused level
+# whole
+GEOM_DIGESTS = {
+    "export --seed builtin:F1 --cap 60": (
+        0, "f2a6f672eadf497fc89c152eb7ea4b2e1e5baabbd2184559e8d0a124de932819"),
+    "export --seed builtin:F7d --cap 200": (
+        0, "94d3ec857dfb4cc963123fc0104388033d7492138fade64ccb60b556731c592c"),
+    "export --seed builtin:F0 --cap 12": (
+        0, "bb1213a669ff20c56970e6ffabcaf4bd3722838de96f4b0f92c7c8b680cb8916"),
+    "gen --mode geom --seed builtin:F1 --cap 1000000 --budget 1000 --json": (
+        3, "9928a4bf89cf3721b82fe6f0d0dcebd1e8386ecc2409cb0ad4a7f9f08e09165a"),
+}
+
+
+def test_geometric_bytes_are_frozen(capsys):
+    for argv, (want_code, digest) in GEOM_DIGESTS.items():
+        code, out, err = run_cli(argv.split(), capsys)
+        assert code == want_code and err == "", argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_bare_seed_name_is_a_path(tmp_path, monkeypatch, capsys):
     # only builtin:NAME names a builtin: a bare F1 is the file ./F1, here F0
     monkeypatch.chdir(tmp_path)

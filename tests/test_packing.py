@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ from orthoplex.arithmetic import GaussianInt, bend_from_xi, gaussian_xgcd
 from orthoplex.config import (
     F0, F1, F7D, BendVector, FMatrix, check_gramian, descartes_form)
 from orthoplex.groups import APOLLONIAN, apply, element
-from orthoplex.inversive import classify_pair
+from orthoplex.inversive import Coord5, classify_pair
 from orthoplex.packing import (
     DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
@@ -532,6 +533,88 @@ def test_geometric_walk_needs_an_invertible_seed():
     assert not check_gramian(singular)
     with pytest.raises(WalkInputError, match="Gramian"):
         generate(PackingSpec(seed=singular, bend_cap=8, mode="geom"))
+
+
+# a new sphere's values reach 29 times the frontier's, whose headroom is
+# 2**22 (packing._INT64_HEADROOM's comment)
+_NEW_SPHERE_MAX = 29 * packing._BOX_HEADROOM
+_PART = st.integers(-_NEW_SPHERE_MAX, _NEW_SPHERE_MAX)
+
+
+def _box_row(b, a, a2, *channels):
+    """A geometric row (9 ints) of bend ``b``.  Each coordinate p + q*sqrt2
+    is drawn as (kind, side, q, p): kind 0 puts it on the box's face
+    side*box*|b| with q = 0, kind 1 within two of that face, the drawn p
+    choosing an offset of -1, 0 or 1, and kind 2 takes p and q as drawn."""
+    bound = DEFAULT_BOX * abs(b)
+    row = [b, a, a2]
+    for kind, side, q, p in channels:
+        if kind == 0:
+            q, p = 0, side * bound
+        elif kind == 1:
+            root = math.isqrt(2 * q * q)  # floor(|q|*sqrt2)
+            p = side * bound - (root if q >= 0 else -root) + p % 3 - 1
+        row += [p, q]
+    return row
+
+
+_BOX_CHANNEL = st.tuples(st.integers(0, 2), st.sampled_from([1, -1]),
+                         st.integers(-2 ** 22, 2 ** 22), _PART)
+_BOX_ROW = st.builds(
+    _box_row,
+    st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2 ** 22, 2 ** 22)),
+    _PART, _PART, _BOX_CHANNEL, _BOX_CHANNEL, _BOX_CHANNEL)
+
+
+def _box_row_coords(row):
+    b, a, a2, x, x2, y, y2, z, z2 = row
+    return Coord5(QSqrt2(a, a2), QSqrt2(b), QSqrt2(x, x2),
+                  QSqrt2(y, y2), QSqrt2(z, z2))
+
+
+@given(st.lists(_BOX_ROW, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_box_test_matches_exact_arithmetic(rows):
+    got = packing._in_box(np.array(rows, dtype=np.int64), DEFAULT_BOX)
+    assert got.tolist() == [in_box(_box_row_coords(r)) for r in rows]
+
+
+@given(st.lists(st.tuples(*[_BOX_ROW] * 4), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_box_test_of_a_move_batch_matches_exact_arithmetic(rows):
+    # the shape _children tests: the four new spheres (4, m, 9) of m moves
+    new = np.array(rows, dtype=np.int64).swapaxes(0, 1)
+    got = packing._in_box(new, DEFAULT_BOX)
+    want = [[in_box(_box_row_coords(r)) for r in slot]
+            for slot in new.tolist()]
+    assert got.tolist() == want
+    assert got.any(axis=0).tolist() == [any(col) for col in zip(*want)]
+
+
+def test_refused_geometric_level_is_not_built(monkeypatch):
+    # F1 at a huge cap with a budget of 1000 takes 225 states and refuses
+    # the next level of 2,640.  The walk stops reading that level once 776
+    # of its states are new; built whole, it set a peak about 2.7 times as
+    # high (2.5 MB against 0.9 MB under tracemalloc)
+    spec = PackingSpec(seed=F1, bend_cap=10 ** 6, mode="geom", budget=1000)
+
+    def traced():
+        generate(spec)  # imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            return generate(spec), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    early, early_peak = traced()
+    fresh = packing._fresh
+    monkeypatch.setattr(packing, "_fresh",
+                        lambda batches, seen, width, room: fresh(
+                            batches, seen, width))
+    whole, whole_peak = traced()
+    assert early == whole
+    assert early.states == 225 and not early.frontier_exhausted
+    assert early_peak <= whole_peak / 2
 
 
 @pytest.mark.parametrize("name", sorted(SEEDS) + ["F1_D36"])
