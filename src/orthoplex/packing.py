@@ -28,24 +28,29 @@ configuration.  ``tests/test_groups.py`` certifies each step.
 
 A child is enqueued only when the smallest bend it creates is at most
 the cap.  Soundness of that prune is empirical: the suite checks mode
-agreement, monotone closure, and reproduction of the frozen reference bend
-sets rather than assuming a termination argument.
+agreement, monotone closure, the frozen reference bend sets and the bends
+of random images of roots, rather than assuming a termination argument.
 
-Bend walks (C = 1: ``bends``, ``scan``, bend-mode ``gen`` and
-``orbit_bend_vectors``) first descend from their seed to its packing's
-root, taking the move with the least (mu', kept spheres) while mu' < mu,
-as Graham, Lagarias, Mallows, Wilks and Yan reduce a Descartes quadruple
-(J. Number Theory 100, 2003).  From the root they keep only the moves that
-raise mu and dedupe each level against itself alone, so their answer is a
-function of the packing, not of the start.  That every state lies one
-level above each state it is reached from is measured, not proven; were
-it false, a state would be counted twice and no bend lost.  A level packs
-each state into one int64 key, its values less the root's least value
-``low`` as digits in base ``_KEY_BASE``, by Horner's rule on each move's
-batch; a level with a value outside [low, low + _KEY_BASE) dedupes on
-exact bytes instead.  Geometric walks start where they are put, take every
-move and dedupe against every mu seen: their roots need a tie rule among
-same-bend states first.
+Every walk first descends from its seed to its packing's root, as Graham,
+Lagarias, Mallows, Wilks and Yan reduce a Descartes quadruple (J. Number
+Theory 100, 2003).  Rows are compared as tuples, bend first.  A step keeps
+the lesser sphere x of every pair (x, 2*mu - x) and takes that move, mu' =
+sum(kept) - mu, while mu' < mu.  It is the move of least mu': keeping the
+greater sphere of some pairs instead adds their rows 2*(mu - x), each
+lexicographically positive (or zero, where the pair's rows are equal and
+the two choices are one move), and a sum of lexicographically positive
+rows is lexicographically positive.  A cap below every bend of the root is
+refused.  From the root a bend walk (C = 1: ``bends``, ``scan``, bend-mode
+``gen`` and ``orbit_bend_vectors``) keeps only the moves that raise mu and
+dedupes each level against itself alone; a geometric walk takes every move
+and dedupes against every mu seen.  So a report is a function of the
+packing, not of the start.  That every bend state lies one level above
+each state it is reached from is measured, not proven; were it false, a
+state would be counted twice and no bend lost.  A bend level packs each
+state into one int64 key, its values less the root's least value ``low``
+as digits in base ``_KEY_BASE``, by Horner's rule on each move's batch; a
+level with a value outside [low, low + _KEY_BASE) dedupes on exact bytes
+instead.
 
 The walk is single-threaded and breadth-first.  It takes whole levels
 while its state count stays within the budget, never the level that
@@ -103,7 +108,7 @@ _DESCENT_STEPS = 10 ** 5
 
 
 class CapBelowSeedError(WalkInputError):
-    """The cap excludes even the largest sphere of the seed."""
+    """The cap excludes even the largest sphere of the seed's packing."""
 
 
 @dataclass(frozen=True)
@@ -184,11 +189,7 @@ def _classify(zero_spheres: int, negative_values: Set[int]) -> str:
 
 
 def generate(spec: PackingSpec) -> PackingReport:
-    bv, obs = seed_obstruction(spec.seed)
-    low = min(bv.bends8())
-    if spec.bend_cap < low:
-        raise CapBelowSeedError(
-            f"cap {spec.bend_cap} is below every seed bend (min {low})")
+    _, obs = seed_obstruction(spec.seed)
     walk = _generate_bend if spec.mode == "bend" else _generate_geom
     mult, zero_spheres, states, exhausted, spheres = walk(spec)
     report = PackingReport(
@@ -374,44 +375,42 @@ def _distinct(batches: Iterator[np.ndarray], low: int) -> np.ndarray:
     return _unpack(keys[first], low)
 
 
-def _root(bends: List[int]) -> List[int]:
-    """The canonical root state of the packing of the bend vector
-    ``bends`` (four spheres, one of each disjoint pair, then mu): from it,
-    take the move with the least (mu', kept spheres) while mu' < mu, on
-    exact ints.  A start more than ``_DESCENT_STEPS`` moves above its root,
-    or whose descent leaves the int64 headroom, is invalid input."""
-    mu = bends[4]
-    los = sorted(min(b, 2 * mu - b) for b in bends[:4])
+def _root(rows: List[List[int]], headroom: int) -> List[List[int]]:
+    """The root of the state ``rows`` (four sphere rows, one of each
+    disjoint pair, then mu; C exact ints each) by the module docstring's
+    descent, as four sphere rows and mu.  A start more than
+    ``_DESCENT_STEPS`` moves above its root, or a state on the way outside
+    ``headroom``, is invalid input."""
+    spheres, mu = rows[:4], rows[4]
     for _ in range(_DESCENT_STEPS + 1):
-        _check_headroom(max(map(abs, los + [mu])), _INT64_HEADROOM)
-        mu2, kept = min(
-            (sum(kept) - mu, kept)
-            for kept in itertools.product(*[(x, 2 * mu - x) for x in los]))
+        _check_headroom(max(abs(x) for row in spheres + [mu] for x in row),
+                        headroom)
+        kept = [min(x, [2 * m - v for m, v in zip(mu, x)]) for x in spheres]
+        mu2 = [sum(vs) - m for *vs, m in zip(*kept, mu)]
         if mu2 >= mu:
-            return los + [mu]
-        mu = mu2
-        los = sorted(min(k, 2 * mu - k) for k in kept)
+            return kept + [mu]
+        spheres, mu = kept, mu2
     raise WalkInputError(f"the seed lies more than {_DESCENT_STEPS} moves "
                          "above the root of its packing")
 
 
 def _walk(rows: List[List[int]], cap: int, budget: int,
           reduce: Callable[[np.ndarray], object],
-          box: Optional[int] = None) -> Tuple[list, int, bool]:
-    """BFS from the sphere rows ``rows[:4]`` and antipodal row ``rows[4]``
-    (C ints each): ``reduce`` of each whole level (5, n, C) taken while the
-    state count stays within ``budget``, that count, and whether the
-    frontier emptied.  A bend walk (no ``box``) climbs from its root; a
-    geometric walk takes every move from its start.  State order within a
-    level is unspecified."""
+          box: Optional[int] = None, d: int = 1) -> Tuple[list, int, bool]:
+    """BFS from the root of the state with sphere rows ``rows[:4]`` and
+    antipodal row ``rows[4]`` (C ints each, the values times ``d``):
+    ``reduce`` of each whole level (5, n, C) taken while the state count
+    stays within ``budget``, that count, and whether the frontier emptied.
+    A bend walk (no ``box``) climbs from the root; a geometric walk takes
+    every move.  State order within a level is unspecified."""
     headroom = _INT64_HEADROOM if box is None else _BOX_HEADROOM
-    _check_headroom(max(abs(x) for row in rows for x in row), headroom)
-    climb = box is None
-    if climb:
-        rows = [[b] for b in _root([row[0] for row in rows])]
-    seed = np.array(rows, dtype=np.int64)
+    seed = np.array(_root(rows, headroom), dtype=np.int64)
     frontier = _canonical([seed[k:k + 1] for k in range(4)], seed[4:])
-    low, seen = int(frontier.min()), set(_keys(frontier))
+    low, seen = int(frontier[:, :, 0].min()), set(_keys(frontier))
+    if cap < low:
+        raise CapBelowSeedError(f"cap {cap // d} is below every bend of the "
+                                f"seed's packing (min {low // d})")
+    climb = box is None
     out, taken = [], 0
     while True:
         n = frontier.shape[1]
@@ -485,7 +484,7 @@ def _generate_geom(spec: PackingSpec):
         found.append(np.compress(all8[:, 0] <= cap, all8, axis=0))
 
     _, states, exhausted = _walk([_channels(v.scale(d)) for v in rows], cap,
-                                 spec.budget, level, DEFAULT_BOX)
+                                 spec.budget, level, DEFAULT_BOX, d)
     # a set, not np.unique(axis=0): that imports numpy.ma on its first call,
     # and benchmarks/workloads.Clock calls np.unique from a SIGALRM handler,
     # which recurses to a RecursionError if it lands inside that import

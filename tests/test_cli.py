@@ -246,13 +246,16 @@ def write_seed(f, path):
 
 def test_image_start_walks_its_packing(tmp_path, capsys, schema):
     # F1 under S1678 S5238 S1638 S1678, bend vector (142, 582, 563, 719,
-    # 363): no move from it passes cap 20, so a walk that did not first
-    # descend to F1 would see this one state alone
+    # 363) and least bend 7: no move from it passes cap 20, so a walk that
+    # did not first descend to F1 would see this one state alone, and cap 5
+    # lies below its own bends but not below F1's
     image = apply(element("Apollonian", ("S1678", "S5238", "S1638", "S1678")),
                   F1)
     path = write_seed(image, tmp_path / "image.json")
     for argv in (["scan", "--cap", "20"], ["scan", "--cap", "20", "--json"],
-                 ["bends", "--cap", "20"]):
+                 ["bends", "--cap", "20"], ["bends", "--cap", "5"],
+                 ["gen", "--mode", "geom", "--cap", "20", "--json"],
+                 ["export", "--cap", "20"]):
         code, out, err = run_cli(argv + ["--seed", path], capsys)
         assert code == 0 and err == "", argv
         assert out.replace(path, "builtin:F1") == run_cli(
@@ -324,7 +327,7 @@ def test_seed_file_round_trip(tmp_path, capsys, schema, fmatrix_schema):
 def test_cap_below_seed_is_validation_error(capsys):
     cases = (
         (["bends", "--seed", "builtin:F7d", "--cap", "-8"],
-         "below every seed bend"),
+         "below every bend of the seed's packing"),
         (["scan", "--seed", "builtin:F1", "--cap", "20", "--from", "30",
           "--to", "10"], "start exceeds its end"),
         (["scan", "--seed", "builtin:F1", "--cap", "20", "--to", "21"],

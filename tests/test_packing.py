@@ -105,6 +105,8 @@ def test_cap_below_seed_rejected():
         run(F1, -2)
     with pytest.raises(CapBelowSeedError):
         run(F7D, -8)
+    with pytest.raises(CapBelowSeedError):
+        orbit_bend_vectors(F1, -2)
 
 
 def test_budget_marks_unexhausted():
@@ -318,6 +320,86 @@ def test_random_images_walk_like_their_builtin():
                                                  budget=budget)
 
 
+def search_root(rows):
+    """The root of the state ``rows`` (four sphere rows, one of each pair,
+    then mu) by the search the one-move descent replaced: of the 16 moves,
+    take the one of least (mu', kept rows), as tuples, while mu' < mu.  The
+    root as its mu and its set of pairs."""
+    los, mu = [tuple(x) for x in rows[:4]], tuple(rows[4])
+
+    def pair(x):
+        return frozenset((x, tuple(2 * m - v for m, v in zip(mu, x))))
+
+    while True:
+        mu2, kept = min(
+            (tuple(sum(vs) - m for *vs, m in zip(*kept, mu)), kept)
+            for kept in itertools.product(*[sorted(pair(x)) for x in los]))
+        if mu2 >= mu:
+            return mu, set(map(pair, los))
+        los, mu = kept, mu2
+
+
+def random_moves(r, state, n):
+    """The bend state ``state`` after ``n`` random moves of the 16, given
+    by a random sphere of each pair."""
+    los, mu = list(state[:4]), state[4]
+    for _ in range(n):
+        kept = [r.choice((x, 2 * mu - x)) for x in los]
+        los, mu = kept, sum(kept) - mu
+    return [r.choice((x, 2 * mu - x)) for x in los] + [mu]
+
+
+def geom_rows(f):
+    d = math.lcm(*(c.xyd[2] for v in f.rows for c in v))
+    return [_channels(v.scale(d)) for v in f.rows]
+
+
+def test_one_move_descent_is_the_sixteen_move_search():
+    # keeping the lesser sphere of every pair gives the least mu' of the 16
+    # moves, so the descent lands where the search does: on bend images
+    # of the catalogue roots and on geometric images of the builtins
+    r = random.Random(1234)
+    cases = [[[b] for b in random_moves(r, root, r.randint(0, 12))]
+             for root in CATALOGUE_ROOTS for _ in range(25)]
+    for f in list(SEEDS.values()) + [F1_D36]:
+        cases += [geom_rows(apply(random_apollonian_word(r, 10), f))
+                  for _ in range(25)]
+    moved = 0
+    for rows in cases:
+        root = search_root(rows)
+        got = packing._root(rows, packing._INT64_HEADROOM)
+        assert search_root(got) == root and tuple(got[4]) == root[0]
+        moved += root[0] != tuple(rows[4])
+    assert moved > len(cases) // 2
+
+
+def test_every_image_bend_under_the_cap_is_walked():
+    # the prune drops a child whose new bends all pass the cap, yet every
+    # bend at most the cap of an image of a root lies in the walk's bend
+    # set; some image states lie off the walk, so bends are compared, not
+    # states
+    r = random.Random(99)
+    cap, checked = 150, 0
+    starts = [(tuple(f.bend_vector()), f) for f in SEEDS.values()]
+    starts += [(root, None) for root in CATALOGUE_ROOTS]
+    for root, f in starts:
+        levels, exhausted = engine_levels(root, cap, 10 ** 7)
+        assert exhausted
+        walked = {v for level in levels for s in level
+                  for v in s[:4] + tuple(2 * s[4] - x for x in s[:4])}
+        for _ in range(40):
+            if f is not None:
+                image = apply(random_apollonian_word(r, 8), f)
+                bends = [int(b) for b in image.bend_vector().bends8()]
+            else:
+                state = random_moves(r, root, r.randint(1, 8))
+                bends = state[:4] + [2 * state[4] - x for x in state[:4]]
+            small = {b for b in bends if b <= cap}
+            assert small <= walked, (root, bends)
+            checked += len(small)
+    assert checked > 1000
+
+
 def test_level_falls_back_to_bytes(monkeypatch):
     # a base of 64 packs builtin F1's root, (-1, 2, 2, 3, 3), and its first
     # level, whose values lie in [-1, 15]; the second level reaches 87 and
@@ -497,20 +579,23 @@ def reference_classification(mult):
 
 
 def geom_oracle_cases():
-    cases = [(F0, 2), (F1, 8), (F1, 12), (F7D, 40), (F1_D36, 12)]
+    """(seed, cap, root): the walk from seed against the reference walk from
+    root, its builtin for an image start."""
+    cases = [(f, cap, f) for f, cap in
+             ((F0, 2), (F1, 8), (F1, 12), (F7D, 40), (F1_D36, 12))]
     r = random.Random(2026)
     for name, cap in (("F0", 2), ("F1", 8), ("F7d", 40)):
         for _ in range(3):
             image = apply(random_apollonian_word(r, 4), SEEDS[name])
             own_min = min(int(b) for b in image.bend_vector().bends8())
-            cases.append((image, max(own_min, cap)))
+            cases.append((image, max(own_min, cap), SEEDS[name]))
     return cases
 
 
 def test_geometric_walk_matches_reference():
-    for seed, cap in geom_oracle_cases():
+    for seed, cap, root in geom_oracle_cases():
         for budget in (10 ** 7, 5):
-            states, spheres, exhausted = reference_geom_walk(seed, cap, budget)
+            states, spheres, exhausted = reference_geom_walk(root, cap, budget)
             mult = Counter(int(v.b.rat) for v in spheres)
             rep = generate(PackingSpec(seed=seed, bend_cap=cap, mode="geom",
                                        budget=budget))
@@ -521,6 +606,34 @@ def test_geometric_walk_matches_reference():
             assert rep.bend_multiplicity == dict(mult)
             assert rep.classification == reference_classification(mult)
             assert rep.frontier_exhausted == exhausted
+
+
+def geom_report(seed, cap, budget):
+    rep = generate(PackingSpec(seed=seed, bend_cap=cap, mode="geom",
+                               budget=budget))
+    return rep.to_json_dict(), export_scene(rep)
+
+
+def test_geometric_images_walk_like_their_builtin():
+    # start independence: images report and export what their builtin
+    # does, at caps from their least bend up.  The unbounded walks stay at
+    # caps whose builtin walk takes under a second.
+    r = random.Random(21)
+    unbounded = 0
+    for name, top in (("F0", 8), ("F1", 60), ("F7d", 200)):
+        for _ in range(6):
+            image = apply(random_apollonian_word(r, 8), SEEDS[name])
+            bends = [int(b) for b in image.bend_vector().bends8()]
+            assert max(abs(c) for row in geom_rows(image)
+                       for c in row) <= packing._BOX_HEADROOM
+            for cap in (min(bends), max(min(bends), top), max(bends)):
+                for budget in (5, 200, 10 ** 7):
+                    if budget > 200 and cap > top:
+                        continue
+                    unbounded += budget > 200
+                    assert geom_report(image, cap, budget) == geom_report(
+                        SEEDS[name], cap, budget), (name, cap, budget)
+    assert unbounded >= 18
 
 
 def test_geometric_walk_needs_an_invertible_seed():
