@@ -4,17 +4,17 @@ One numpy kernel walks both modes.  A state is four disjoint pairs of
 spheres and their antipodal row mu: one sphere of each pair, then mu, each
 row C int64 channels with the bend first.  A level of n states is held
 slot-major, as an array (5, n, C) whose slot k < 4 holds the sphere of
-pair k of every state and slot 4 every mu, each slot one contiguous
-(n, C) block, so a move works on whole slots.  A move keeps one sphere
-per pair and replaces the rest; the 16 moves from a level run one after
-another, each flipping one kept sphere of the move before it.  Bend mode
-and ``orbit_bend_vectors`` walk bends alone (C = 1).  Geometric mode
-walks C = 9 channels, the bend and then the rational and sqrt2 parts of
-a, xhat, yhat and zhat, all times the seed's common denominator; it also
-needs a new sphere in an exact Z[sqrt2] box and keeps every sphere.  The
-box test runs once per move, on the four new spheres of its batch and
-their three coordinates together.  ``QSqrt2`` arithmetic only scales the
-seed in; each sphere comes out as reduced triples over that denominator.
+pair k of every state and slot 4 every mu, so a move works on whole slots.
+A move keeps one sphere per pair and replaces the rest; ``_children``
+takes a level in blocks of ``_BLOCK`` states, and the 16 moves from a
+block run one after another, each flipping one kept sphere of the move
+before it.  Bend mode and ``orbit_bend_vectors`` walk bends alone (C = 1).
+Geometric mode walks C = 9 channels, the bend and then the rational and
+sqrt2 parts of a, xhat, yhat and zhat, all times the seed's common
+denominator; it also needs a new sphere in an exact Z[sqrt2] box, tested
+once per move on its four new spheres, and keeps every sphere.  ``QSqrt2``
+arithmetic only scales the seed in; each sphere comes out as reduced
+triples over that denominator.
 
 A bend state is put in canonical form, the elementwise minimum of each
 pair sorted by a five-comparator min/max network, then mu, and deduped on
@@ -38,28 +38,30 @@ the lesser sphere x of every pair (x, 2*mu - x) and takes that move, mu' =
 sum(kept) - mu, while mu' < mu.  It is the move of least mu': keeping the
 greater sphere of some pairs instead adds their rows 2*(mu - x), each
 lexicographically positive (or zero, where the pair's rows are equal and
-the two choices are one move), and a sum of lexicographically positive
-rows is lexicographically positive.  A cap below every bend of the root is
+the two choices are one move), and a sum of lexicographically positive rows
+is lexicographically positive.  A cap below every bend of the root is
 refused.  From the root a bend walk (C = 1: ``bends``, ``scan``, bend-mode
 ``gen`` and ``orbit_bend_vectors``) keeps only the moves that raise mu and
 dedupes each level against itself alone; a geometric walk takes every move
 and dedupes against every mu seen.  So a report is a function of the
-packing, not of the start.  That every bend state lies one level above
-each state it is reached from is measured, not proven; were it false, a
-state would be counted twice and no bend lost.  A bend level packs each
-state into one int64 key, its values less the root's least value ``low``
-as digits in base ``_KEY_BASE``, by Horner's rule on each move's batch; a
-level with a value outside [low, low + _KEY_BASE) dedupes on exact bytes
-instead.
+packing, not of the start.  That every bend state lies one level above each
+state it is reached from is measured, not proven; were it false, a state
+would be counted twice and no bend lost.  A climb's states are canonical,
+so the largest bend a move keeps is read off its pattern, and one unsigned
+comparison per state tests the cap and the rise of mu.  The sorted rows of
+each batch pack into one int64 key per state, digits (value - low) in base
+``_KEY_BASE`` for ``low`` the root's least value; a level's keys are
+sorted, kept once and unpacked by floor division, or it dedupes on exact
+bytes if a value leaves [low, low + _KEY_BASE).
 
 The walk is single-threaded and breadth-first.  It takes whole levels
 while its state count stays within the budget, never the level that
 would pass it, so a report's ``states`` never exceeds its budget.  A
 geometric walk stops building that level as soon as its new states pass
 the budget: it holds no more of a refused level than the budget's room
-and one move's batch.  Order
-within a level is unspecified; every reported quantity is an aggregate
-over whole levels, and reports emit every collection sorted.
+and one move's batch.  Order within a level is unspecified; every reported
+quantity is an aggregate over whole levels, and reports emit every
+collection sorted.
 """
 
 from __future__ import annotations
@@ -100,6 +102,9 @@ _BOX_HEADROOM = 2 ** 22
 # The base of the packed keys of bend-walk states (``_distinct``): the
 # largest B with B**5 < 2**63, so five digits in [0, B) fit one int64.
 _KEY_BASE = 6208
+
+# States per ``_children`` block: at about 120 bytes each, 2 MB of L2 cache
+_BLOCK = 2 ** 14
 
 # Most moves a bend walk's start may lie above its root.  Along a parabolic
 # word, F1 under (S1234 S5634)^k, bends grow like 8k**2 over 2k moves, so
@@ -269,37 +274,46 @@ def _in_box(v: np.ndarray, box: int) -> np.ndarray:
 
 
 def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
-              climb: bool = False) -> Iterator[np.ndarray]:
-    """The states of the moves from ``states`` that create a bend at most
-    ``cap``, with ``climb`` raise mu's bend, and, with a ``box``, create a
-    sphere that passes the box test; one batch per move pattern,
-    duplicates included.  The box sees only the moves that pass the cap,
-    the four new spheres of each in one test."""
-    L, M = list(states[:4]), states[4]
-    H = [2 * M - x for x in L]
-    kept = list(L)
-    mu2 = L[0] + L[1] + L[2] + L[3] - M  # sum(kept) - M, kept in step
-    for k in _FLIPS:
-        if k is not None:
-            old = kept[k]
-            kept[k] = H[k] if old is L[k] else L[k]
-            mu2 += kept[k]
-            mu2 -= old
-        # the new spheres are 2*mu2 - kept; the smallest bend pairs with
-        # the largest kept one
-        top = np.maximum(np.maximum(kept[0][:, 0], kept[1][:, 0]),
-                         np.maximum(kept[2][:, 0], kept[3][:, 0]))
-        ok = 2 * mu2[:, 0] - top <= cap
-        if climb:
-            ok &= mu2[:, 0] > M[:, 0]
-        at = np.flatnonzero(ok)
-        if box is not None and len(at):
-            two_mu2 = 2 * mu2.take(at, axis=0)
-            new = np.stack([two_mu2 - k.take(at, axis=0) for k in kept])
-            at = at[_in_box(new, box).any(axis=0)]
-        if len(at):
-            yield _canonical([k.take(at, axis=0) for k in kept],
-                             mu2.take(at, axis=0))
+              climb: bool = False) -> Iterator[tuple]:
+    """The moves from ``states`` that create a bend at most ``cap``, with
+    ``climb`` raise mu's bend, and, with a ``box``, pass the box test on
+    their new spheres: per block and move pattern, duplicates included, the
+    kept sphere rows and the new mu rows."""
+    # room[j]: cap - x clamped to [0, 2**63) as uint64, exact for |x| < 2**61
+    c = min(cap, 2 ** 63 - 1)
+    for i in range(0, states.shape[1], _BLOCK):
+        L, M = states[:4, i:i + _BLOCK], states[4, i:i + _BLOCK]
+        H = 2 * M - L
+        lo, hi, m = L[:, :, 0], H[:, :, 0], M[:, 0]
+        # g, kept in step, is 2*mu2 on the bends, less 2*M + 1 in a climb.
+        # The least new bend is 2*mu2 - top, top the greatest kept.  A
+        # climb's states are canonical: top is hi[j], j the least pair kept
+        # high, or lo[3], and 0 <= g < room[j] = cap - (2*M - top) passes
+        g = 2 * (lo.sum(axis=0) - (1 + climb) * m) - climb
+        step = 2 * (hi - lo)
+        room = [np.maximum(c - np.maximum(x, max(c, 0) - 2 ** 63 + 1), 0)
+                .view(np.uint64) for x in (*lo, hi[3])] if climb else None
+        high = [False] * 4
+        for k in _FLIPS:
+            if k is not None:
+                high[k] = not high[k]
+                (np.add if high[k] else np.subtract)(g, step[k], out=g)
+            if climb:
+                ok = g.view(np.uint64) < room[(high + [True]).index(True)]
+            else:
+                t = [y if h else x for h, x, y in zip(high, lo, hi)]
+                top = np.maximum(np.maximum(*t[:2]), np.maximum(*t[2:]))
+                ok = g - top <= cap
+            if not len(at := np.flatnonzero(ok)):
+                continue
+            kept = [(H if h else L)[j].take(at, axis=0)
+                    for j, h in enumerate(high)]
+            mu2 = kept[0] + kept[1] + kept[2] + kept[3] - M.take(at, axis=0)
+            if box is not None:
+                fit = _in_box(2 * mu2 - np.stack(kept), box).any(axis=0)
+                if not fit.all():
+                    kept, mu2 = [x[fit] for x in kept], mu2[fit]
+            yield kept, mu2
 
 
 def _keys(states: np.ndarray) -> list:
@@ -350,26 +364,28 @@ def _pack(states: np.ndarray, low: int) -> np.ndarray:
 def _unpack(keys: np.ndarray, low: int) -> np.ndarray:
     states = np.empty((5, len(keys), 1), dtype=np.int64)
     for j in range(4, -1, -1):
-        keys, states[j, :, 0] = np.divmod(keys, _KEY_BASE)
+        keys, whole = keys // _KEY_BASE, keys
+        np.subtract(whole, keys * _KEY_BASE, out=states[j, :, 0])
     states += low
     return states
 
 
-def _distinct(batches: Iterator[np.ndarray], low: int) -> np.ndarray:
-    """The distinct C = 1 states of one level's ``batches``.  While every
-    value lies in [low, low + _KEY_BASE), each batch is packed into keys,
-    and the level's keys are sorted and each kept once: sorting and a
-    neighbour mask, not ``np.unique``, which imports ``numpy.ma``.  A batch
-    outside that range sends this level alone, with the keys packed so far,
-    to the exact bytes of each state."""
-    level: List[np.ndarray] = []
-    for kids in batches:
-        if int(kids.min()) < low or int(kids.max()) - low >= _KEY_BASE:
+def _distinct(moves: Iterator[tuple], low: int) -> np.ndarray:
+    """The distinct canonical C = 1 states of one level's ``moves``: their
+    keys sorted and masked (``np.unique`` of keys alone hashes and imports
+    ``numpy.ma``) while every value lies in [low, low + _KEY_BASE), else
+    exact bytes.  ``moves`` ends, freeing its arrays, before the sort."""
+    level = [np.empty(0, dtype=np.int64)]
+    for move in moves:
+        kids = _canonical(*move)
+        # mu is at least each lesser sphere
+        if int(kids[0].min()) < low or int(kids[3:].max()) - low >= _KEY_BASE:
             held = [_unpack(keys, low) for keys in level]
-            return _fresh(itertools.chain(held, [kids], batches), set(), 1)
+            return _fresh(itertools.chain(
+                held, [kids], itertools.starmap(_canonical, moves)), set(), 1)
         level.append(_pack(kids, low))
-        del kids  # free each batch before the next one is made
-    keys = np.sort(np.concatenate(level or [np.empty(0, dtype=np.int64)]))
+        del move, kids  # free each batch before the next one is made
+    keys = np.sort(np.concatenate(level))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return _unpack(keys[first], low)
@@ -419,11 +435,13 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
         taken += n
         out.append(reduce(frontier))
         kids = _children(frontier, cap, box, climb=climb)
+        del frontier  # freed when ``kids`` ends, before the level is sorted
         if climb:
             frontier = _distinct(kids, low)
         else:
             # a level past the budget is refused before it is whole
-            frontier = _fresh(kids, seen, seed.shape[1], budget - taken)
+            frontier = _fresh(itertools.starmap(_canonical, kids), seen,
+                              seed.shape[1], budget - taken)
             if frontier is None:
                 return out, taken, False
         if not frontier.shape[1]:
@@ -431,33 +449,40 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
         _check_headroom(int(np.abs(frontier).max()), headroom)
 
 
+def _tally(states: np.ndarray, cap: int, mult: Counter) -> int:
+    """Add to ``mult`` the bends at most the cap of each canonical C = 1
+    state's eight spheres; the most zeros in a state.  One bin per bend from
+    the least and one past the cap, or a sort if that span passes the count."""
+    lo, mu = states[:4, :, 0], states[4, :, 0]
+    least = int(lo[0].min())
+    span = max(min(cap, int((2 * mu - lo[0]).max())) - least + 1, 0)
+
+    def halves():  # the lesser bends, then the greater, less their least
+        yield lo - least
+        yield 2 * mu - least - lo
+
+    if span <= 8 * len(mu):
+        counts = sum(np.bincount(np.minimum(h, span, out=h).ravel(),
+                                 minlength=span + 1) for h in halves())
+        at = np.flatnonzero(counts[:span])
+        counts = counts[at]
+    else:
+        at, counts = np.unique(np.concatenate([h[h < span] for h in halves()]),
+                               return_counts=True)
+    tally = dict(zip((at + least).tolist(), counts.tolist()))
+    mult.update(tally)
+    return 0 if 0 not in tally else int(
+        sum((h == -least).sum(axis=0) for h in halves()).max())
+
+
 def _generate_bend(spec: PackingSpec):
     """Bend multiplicities, zero-sphere count, states, exhaustion and no
     spheres of a bend-mode walk."""
-    cap = spec.bend_cap
-    mult: Counter = Counter()
-
-    def level(states: np.ndarray) -> int:
-        """Tally the bends at most the cap of each sphere of ``states``,
-        one column at a time, and return the most zero bends in a state."""
-        los, mu = states[:4, :, 0], states[4, :, 0]
-
-        def columns() -> Iterator[np.ndarray]:
-            for lo in los:
-                yield lo
-                yield 2 * mu - lo
-
-        uniq, counts = np.unique(
-            np.concatenate([col[col <= cap] for col in columns()]),
-            return_counts=True)
-        mult.update(dict(zip(uniq.tolist(), counts.tolist())))
-        if 0 not in uniq:
-            return 0
-        return int(sum(col == 0 for col in columns()).max())
-
+    cap, mult = spec.bend_cap, Counter()
     rows = [[b] for b in spec.seed.bend_vector()]
-    zeros, states, exhausted = _walk(rows, cap, spec.budget, level)
-    return mult, max(zeros) if 0 in mult else 0, states, exhausted, None
+    zeros, states, exhausted = _walk(rows, cap, spec.budget,
+                                     lambda level: _tally(level, cap, mult))
+    return mult, max(zeros), states, exhausted, None
 
 
 def _channels(v: Coord5) -> List[int]:

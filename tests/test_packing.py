@@ -25,6 +25,7 @@ from orthoplex.packing import (
 )
 from orthoplex.ring import QSqrt2
 
+import climb_oracle
 from conftest import (
     EXPECTED_BENDS_P0, EXPECTED_BENDS_P1, EXPECTED_BENDS_P7D, EXPECTED_BLOCK_P7D,
     F1_D36, SEEDS, random_apollonian_word,
@@ -429,6 +430,85 @@ def slots(states):
     return np.array(states, dtype=np.int64).T[:, :, None]
 
 
+@pytest.mark.parametrize("base", [packing._KEY_BASE, 64])
+def test_climb_levels_are_the_per_move_passes(monkeypatch, base):
+    # the level pass, with its tracked margin, its top bend read off the
+    # move pattern and its keys packed from the sorting network, takes the
+    # levels of the earlier per-move pass, state by state.  A base of 64
+    # sends every level past the first few to bytes.
+    monkeypatch.setattr(packing, "_KEY_BASE", base)
+    fresh, to_bytes = packing._fresh, []
+    monkeypatch.setattr(packing, "_fresh", lambda *args: (
+        to_bytes.append(True), fresh(*args))[1])
+    starts = [tuple(f.bend_vector()) for f in (F0, F1, F7D)]
+    for start in starts + list(CATALOGUE_ROOTS):
+        *los, mu = (b for [b] in packing._root([[b] for b in start],
+                                                packing._INT64_HEADROOM))
+        root = tuple(sorted(min(x, 2 * mu - x) for x in los)) + (mu,)
+        for cap in (20, 150, 500):
+            levels, exhausted = engine_levels(start, cap, 10 ** 7)
+            assert exhausted
+            assert levels == climb_oracle.climb(root, cap), (start, cap)
+    assert bool(to_bytes) == (base == 64)
+
+
+_BEND = st.integers(-3, 3) | st.integers(-2 * 10 ** 6, 2 * 10 ** 6)
+
+
+@st.composite
+def canonical_levels(draw):
+    """1 to 12 canonical C = 1 states: four lesser bends, ascending and
+    each at most mu, then mu."""
+    level = []
+    for _ in range(draw(st.integers(1, 12))):
+        mu = draw(_BEND)
+        gaps = st.integers(0, 3) | st.integers(0, 4 * 10 ** 6)
+        level.append(tuple(sorted(mu - draw(gaps) for _ in range(4)))
+                     + (mu,))
+    return level
+
+
+@given(canonical_levels(),
+       st.sampled_from([2 ** 62, 10 ** 20]) | st.integers(-5, 3 * 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_tally_counts_each_states_eight_bends(level, cap):
+    # bends below any root's least, spans past 10**6 (which sort instead
+    # of counting into bins) and caps past int64
+    want, zeros = Counter(), 0
+    for s in level:
+        eight = list(s[:4]) + [2 * s[4] - x for x in s[:4]]
+        want.update(b for b in eight if b <= cap)
+        zeros = max(zeros, eight.count(0))
+    states, tally = slots(level), Counter()
+    tracemalloc.start()
+    try:
+        most_zeros = packing._tally(states, cap, tally)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tally == want
+    assert most_zeros == (zeros if 0 in want else 0)
+    # no array is sized by the cap or by a span past the level's 8n bends:
+    # either would take megabytes here
+    assert peak <= 2 ** 15 + 1024 * len(level), peak
+
+
+def test_bend_walk_peak_memory():
+    # tracemalloc peak of bend-mode generate(F1, cap 1000) on numpy 2.4.6:
+    # 12,979,100 bytes with the per-move level pass of climb_oracle, whose
+    # move arrays spanned the whole level, and 9,009,841 bytes with the
+    # move arrays in blocks of packing._BLOCK states
+    spec = PackingSpec(seed=F1, bend_cap=1000)
+    generate(spec)  # imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_979_100 * 1.05, peak
+
+
 _VALUES = st.integers(-40, 40)
 _STATE = st.tuples(*[_VALUES] * 5)
 
@@ -437,13 +517,20 @@ _STATE = st.tuples(*[_VALUES] * 5)
        st.lists(st.lists(_STATE, min_size=1, max_size=6), max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_level_dedupes_like_a_set(base, low, level):
-    # batches of arbitrary states against a set of tuples: values below low
-    # and spans past the base send the level to bytes
+    # batches of moves to arbitrary kept spheres and mu against a set of
+    # canonical tuples: values below low and spans past the base send the
+    # level to bytes
+    def move(batch):
+        states = slots(batch)
+        return list(states[:4]), states[4]
+
     with mock.patch.object(packing, "_KEY_BASE", base):
-        got = packing._distinct(iter(slots(b) for b in level), low)
+        got = packing._distinct(iter(move(b) for b in level), low)
     got = got[:, :, 0].T.tolist()
     assert len(got) == len(set(map(tuple, got)))
-    assert set(map(tuple, got)) == {s for b in level for s in b}
+    assert set(map(tuple, got)) == {
+        tuple(sorted(min(x, 2 * s[4] - x) for x in s[:4])) + s[4:]
+        for b in level for s in b}
 
 
 @given(st.integers(-2 ** 40, 2 ** 40),
@@ -757,8 +844,9 @@ def test_kernel_moves_are_the_apollonian_generators(name):
             zip(states[4].tolist(), eight.swapaxes(0, 1).tolist()))
 
     for geom in (False, True):
-        children = np.concatenate(list(_children(start(seed, geom), cap)),
-                                  axis=1)
+        children = np.concatenate([
+            _canonical(*move) for move in _children(start(seed, geom), cap)],
+            axis=1)
         images = np.concatenate([
             start(apply(element("Apollonian", (g,)), seed), geom)
             for g in APOLLONIAN], axis=1)
