@@ -412,9 +412,12 @@ class QuaternaryForm:
         return ((a, 0, b, -c), (0, a, c, b), (b, c, d, 0), (-c, b, 0, d))
 
     def value(self, eta: Sequence[int]) -> int:
-        """Q_b(eta) as an exact Python int; each part of eta goes through
+        """Q_b(eta) as an exact Python int; non-int parts of eta go through
         ``operator.index``, so a float, ``Fraction`` or str is refused."""
-        a1, a2, b1, b2 = map(operator.index, eta)
+        a1, a2, b1, b2 = eta
+        if not (type(a1) is int and type(a2) is int and type(b1) is int
+                and type(b2) is int):
+            a1, a2, b1, b2 = map(operator.index, eta)
         return (self.A * (a1 * a1 + a2 * a2)
                 + 2 * self.B * (a1 * b1 + a2 * b2)
                 + 2 * self.C * (a2 * b1 - a1 * b2)

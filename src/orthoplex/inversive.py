@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .ring import Mat, ONE, QSqrt2, ZERO, Scalar
+from .ring import Mat, ONE, QSqrt2, ZERO, Scalar, _reduced, _scaled
 
 
 class Coord5(NamedTuple):
@@ -132,21 +133,31 @@ Q_WILKER = Mat.from_rows([
 
 
 def inversive_product(u: Coord5, w: Coord5) -> QSqrt2:
-    """The bilinear form u Q_Sigma w^T, expanded for speed."""
-    spatial = u.xhat * w.xhat + u.yhat * w.yhat + u.zhat * w.zhat
-    return spatial - (u.a * w.b + u.b * w.a) * _HALF
+    """The bilinear form u Q_Sigma w^T, summed as ``Mat.__mul__`` sums a
+    product: on the integer parts of each row over its common denominator,
+    reduced once.  Twice Q_Sigma w^T is (-b, -a, 2 xhat, 2 yhat, 2 zhat)."""
+    du, x, y = _scaled(u)
+    dw, p, q = (du, x, y) if w is u else _scaled(w)
+    p, q = ([-r[1], -r[0]] + [2 * c for c in r[2:]] for r in (p, q))
+    return _reduced(sum(map(mul, x, p)) + 2 * sum(map(mul, y, q)),
+                    sum(map(mul, x, q)) + sum(map(mul, y, p)), 2 * du * dw)
 
 
 def sphere_from_coords(v: Coord5) -> OrientedSphere:
     if inversive_product(v, v) != ONE:
         raise ValueError("coordinate vector is not normalized: Sigma(v,v) != 1")
-    if v.b:
-        binv = v.b.inverse()
-        return HonestSphere(
-            center=(v.xhat * binv, v.yhat * binv, v.zhat * binv),
-            oriented_radius=binv,
-        )
-    return PlanarSphere(unit_normal=(v.xhat, v.yhat, v.zhat), offset=v.a * _HALF)
+    if not v.b:
+        return PlanarSphere(unit_normal=(v.xhat, v.yhat, v.zhat),
+                            offset=v.a * _HALF)
+    bx, by, bd = v.b.xyd
+    # (x + y sqrt2)/d over b = (bx + by sqrt2)/bd is bd (x + y sqrt2)(bx -
+    # by sqrt2) / (d n), n = bx^2 - 2 by^2 made positive with the sign s
+    n = bx * bx - 2 * by * by
+    s, n = (bd, n) if n > 0 else (-bd, -n)
+    *center, radius = (
+        _reduced(s * (x * bx - 2 * y * by), s * (y * bx - x * by), d * n)
+        for x, y, d in [c.xyd for c in v[2:]] + [(1, 0, 1)])
+    return HonestSphere(center=tuple(center), oriented_radius=radius)
 
 
 def classify_pair(u: Coord5, w: Coord5) -> PairRelation:

@@ -6,15 +6,16 @@ row C int64 channels with the bend first.  A level of n states is held
 slot-major, as an array (5, n, C) whose slot k < 4 holds the sphere of
 pair k of every state and slot 4 every mu, so a move works on whole slots.
 A move keeps one sphere per pair and replaces the rest; ``_children``
-takes a level in blocks of ``_BLOCK`` states, and the 16 moves from a
-block run one after another, each flipping one kept sphere of the move
-before it.  Bend mode and ``orbit_bend_vectors`` walk bends alone (C = 1).
+takes a level in blocks of states.  In a bend climb the 16 moves from a
+block of ``_BLOCK`` states run one after another, each flipping one kept
+sphere of the move before it; elsewhere they run together and yield one
+batch.  Bend mode and ``orbit_bend_vectors`` walk bends alone (C = 1).
 Geometric mode walks C = 9 channels, the bend and then the rational and
 sqrt2 parts of a, xhat, yhat and zhat, all times the seed's common
 denominator; it also needs a new sphere in an exact Z[sqrt2] box, tested
-once per move on its four new spheres, and keeps every sphere.  ``QSqrt2``
-arithmetic only scales the seed in; each sphere comes out as reduced
-triples over that denominator.
+once per block on the four new spheres of all its moves, and keeps every
+sphere.  ``QSqrt2`` arithmetic only scales the seed in; each sphere comes
+out as reduced triples over that denominator.
 
 A bend state is put in canonical form, the elementwise minimum of each
 pair sorted by a five-comparator min/max network, then mu, and deduped on
@@ -59,7 +60,9 @@ while its state count stays within the budget, never the level that
 would pass it, so a report's ``states`` never exceeds its budget.  A
 geometric walk stops building that level as soon as its new states pass
 the budget: it holds no more of a refused level than the budget's room
-and one move's batch.  Order within a level is unspecified; every reported
+and one block's batch.  A geometric block holds min(_BLOCK // 16, max(1,
+room // 64)) states, so its 16 moves fill no more than a climb block and
+add at most a quarter of the room.  Order within a level is unspecified; every reported
 quantity is an aggregate over whole levels, and reports emit every
 collection sorted.
 """
@@ -91,6 +94,11 @@ DEFAULT_BOX = 10
 # code order: move i swaps the sphere that move i - 1 keeps of pair
 # _FLIPS[i] for its partner (move 0 keeps the lesser sphere of every pair).
 _FLIPS = (None, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0)
+
+# The 16 moves as rows of 0/1: move i keeps the greater sphere of pair k
+# iff _HIGH[i, k]
+_HIGH = np.array(list(itertools.product((0, 1), repeat=4)))
+_PAIRS = np.arange(4)
 
 # Largest |value| a frontier may hold.  A move computes 2*(sum(kept) - mu)
 # - kept with |kept| <= 3*|value|, within 29*|value| < 2**63.  The 10x box
@@ -274,45 +282,51 @@ def _in_box(v: np.ndarray, box: int) -> np.ndarray:
 
 
 def _children(states: np.ndarray, cap: int, box: Optional[int] = None,
-              climb: bool = False) -> Iterator[tuple]:
-    """The moves from ``states`` that create a bend at most ``cap``, with
-    ``climb`` raise mu's bend, and, with a ``box``, pass the box test on
-    their new spheres: per block and move pattern, duplicates included, the
-    kept sphere rows and the new mu rows."""
+              climb: bool = False, block: int = _BLOCK) -> Iterator[tuple]:
+    """The moves from ``states``, ``block`` states at a time, that create a
+    bend at most ``cap``, with ``climb`` raise mu's bend, and, with a
+    ``box``, pass the box test on their new spheres: duplicates included,
+    the kept sphere rows and the new mu rows per block and move pattern in
+    a climb, per block for all 16 moves together otherwise."""
     # room[j]: cap - x clamped to [0, 2**63) as uint64, exact for |x| < 2**61
     c = min(cap, 2 ** 63 - 1)
-    for i in range(0, states.shape[1], _BLOCK):
-        L, M = states[:4, i:i + _BLOCK], states[4, i:i + _BLOCK]
+    for i in range(0, states.shape[1], block):
+        L, M = states[:4, i:i + block], states[4, i:i + block]
         H = 2 * M - L
         lo, hi, m = L[:, :, 0], H[:, :, 0], M[:, 0]
-        # g, kept in step, is 2*mu2 on the bends, less 2*M + 1 in a climb.
-        # The least new bend is 2*mu2 - top, top the greatest kept.  A
-        # climb's states are canonical: top is hi[j], j the least pair kept
-        # high, or lo[3], and 0 <= g < room[j] = cap - (2*M - top) passes
-        g = 2 * (lo.sum(axis=0) - (1 + climb) * m) - climb
+        if not climb:
+            # the least new bend of a move is 2*mu2 - top, top the greatest
+            # bend it keeps, and one box test runs on the block's union
+            LH = np.stack([L, H])
+            b = LH[_HIGH, _PAIRS, :, 0]
+            least = 2 * (b.sum(axis=1) - m) - b.max(axis=1)
+            move, at = np.nonzero(least <= cap)
+            kept = LH[_HIGH[move].T, _PAIRS[:, None], at]
+            mu2 = kept.sum(axis=0) - M[at]
+            if box is not None:
+                fit = _in_box(2 * mu2 - kept, box).any(axis=0)
+                kept, mu2 = kept[:, fit], mu2[fit]
+            yield list(kept), mu2
+            continue
+        # g, kept in step, is 2*mu2 on the bends less 2*M + 1.  The least
+        # new bend is 2*mu2 - top.  The states are canonical: top is hi[j],
+        # j the least pair kept high, or lo[3], and 0 <= g < room[j] = cap -
+        # (2*M - top) passes
+        g = 2 * (lo.sum(axis=0) - 2 * m) - 1
         step = 2 * (hi - lo)
         room = [np.maximum(c - np.maximum(x, max(c, 0) - 2 ** 63 + 1), 0)
-                .view(np.uint64) for x in (*lo, hi[3])] if climb else None
+                .view(np.uint64) for x in (*lo, hi[3])]
         high = [False] * 4
         for k in _FLIPS:
             if k is not None:
                 high[k] = not high[k]
                 (np.add if high[k] else np.subtract)(g, step[k], out=g)
-            if climb:
-                ok = g.view(np.uint64) < room[(high + [True]).index(True)]
-            else:
-                t = [y if h else x for h, x, y in zip(high, lo, hi)]
-                top = np.maximum(np.maximum(*t[:2]), np.maximum(*t[2:]))
-                ok = g - top <= cap
+            ok = g.view(np.uint64) < room[(high + [True]).index(True)]
             if not len(at := np.flatnonzero(ok)):
                 continue
             kept = [(H if h else L)[j].take(at, axis=0)
                     for j, h in enumerate(high)]
             mu2 = kept[0] + kept[1] + kept[2] + kept[3] - M.take(at, axis=0)
-            if box is not None:
-                fit = _in_box(2 * mu2 - np.stack(kept), box).any(axis=0)
-                if not fit.all():
-                    kept, mu2 = [x[fit] for x in kept], mu2[fit]
             yield kept, mu2
 
 
@@ -434,14 +448,16 @@ def _walk(rows: List[List[int]], cap: int, budget: int,
             return out, taken, False
         taken += n
         out.append(reduce(frontier))
-        kids = _children(frontier, cap, box, climb=climb)
+        room = budget - taken  # the block rule: see the module docstring
+        block = _BLOCK if climb else min(_BLOCK // 16, max(1, room // 64))
+        kids = _children(frontier, cap, box, climb, block)
         del frontier  # freed when ``kids`` ends, before the level is sorted
         if climb:
             frontier = _distinct(kids, low)
         else:
             # a level past the budget is refused before it is whole
             frontier = _fresh(itertools.starmap(_canonical, kids), seen,
-                              seed.shape[1], budget - taken)
+                              seed.shape[1], room)
             if frontier is None:
                 return out, taken, False
         if not frontier.shape[1]:
@@ -456,23 +472,26 @@ def _tally(states: np.ndarray, cap: int, mult: Counter) -> int:
     lo, mu = states[:4, :, 0], states[4, :, 0]
     least = int(lo[0].min())
     span = max(min(cap, int((2 * mu - lo[0]).max())) - least + 1, 0)
+    buf = np.empty_like(mu)
 
-    def halves():  # the lesser bends, then the greater, less their least
-        yield lo - least
-        yield 2 * mu - least - lo
+    def slots():  # in ``buf``, slot by slot: lesser, then greater, less least
+        for x in lo:
+            yield np.subtract(x, least, out=buf)
+            np.subtract(np.multiply(mu, 2, out=buf), x, out=buf)
+            yield np.subtract(buf, least, out=buf)
 
     if span <= 8 * len(mu):
-        counts = sum(np.bincount(np.minimum(h, span, out=h).ravel(),
-                                 minlength=span + 1) for h in halves())
+        counts = sum(np.bincount(np.minimum(h, span, out=h),
+                                 minlength=span + 1) for h in slots())
         at = np.flatnonzero(counts[:span])
         counts = counts[at]
     else:
-        at, counts = np.unique(np.concatenate([h[h < span] for h in halves()]),
+        at, counts = np.unique(np.concatenate([h[h < span] for h in slots()]),
                                return_counts=True)
     tally = dict(zip((at + least).tolist(), counts.tolist()))
     mult.update(tally)
     return 0 if 0 not in tally else int(
-        sum((h == -least).sum(axis=0) for h in halves()).max())
+        sum(h == -least for h in slots()).max())
 
 
 def _generate_bend(spec: PackingSpec):
@@ -594,12 +613,15 @@ _CSV_FIELDS = ("kind", "a", "b", "xhat", "yhat", "zhat",
 
 def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
     """One record per sphere of a geometric report, ordered by |bend|
-    then exact coordinates."""
+    then exact coordinates.  A walk's bends are rational, so |bend| sorts
+    as the int |numerator| over the bends' least common denominator."""
     if report.mode != "geom" or report.spheres is None:
         raise ValueError("scene export needs a geometric-mode report")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
-    keyed = sorted((abs(v.b), v.serialize(), v) for v in report.spheres)
+    d = math.lcm(*(v.b.xyd[2] for v in report.spheres))
+    keyed = sorted((abs(v.b.xyd[0]) * (d // v.b.xyd[2]), v.serialize(), v)
+                   for v in report.spheres)
     records = [_sphere_record(v, text) for _, text, v in keyed]
     if fmt == "json":
         doc = {"schema_version": 1, "spheres": records}

@@ -247,6 +247,15 @@ def gauss_jordan(a: List[List[QSqrt2]], ncols: int) -> Tuple[List[int], QSqrt2]:
     return pivots, det
 
 
+def _scaled(qs: Iterable[QSqrt2]) -> Tuple[int, List[int], List[int]]:
+    """(D, X, Y): D the lcm of the denominators of ``qs``, and entry k
+    equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints."""
+    ts = [q.xyd for q in qs]
+    d = math.lcm(*(t[2] for t in ts))
+    return (d, [x * (d // e) for x, _, e in ts],
+            [y * (d // e) for _, y, e in ts])
+
+
 def _set_mat(m: "Mat", rows: int, cols: int, entries: Tuple[QSqrt2, ...]):
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
@@ -305,14 +314,6 @@ class Mat:
         k = QSqrt2.coerce(k)
         return Mat(self.rows, self.cols, [k * e for e in self.entries])
 
-    def _scaled(self):
-        """(D, X, Y): D the lcm of every entry denominator, and entry k
-        equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints."""
-        ts = [e.xyd for e in self.entries]
-        d = math.lcm(*(t[2] for t in ts))
-        return (d, [x * (d // e) for x, _, e in ts],
-                [y * (d // e) for _, y, e in ts])
-
     def __mul__(self, other):
         """Exact product on scaled integers: with A = (X + Y sqrt2)/Da and
         B = (U + V sqrt2)/Db, entry (i, j) is (r + s sqrt2)/(Da Db), where
@@ -323,8 +324,8 @@ class Mat:
             if self.cols != other.rows:
                 raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
             n, m, p = self.rows, self.cols, other.cols
-            da, x, y = self._scaled()
-            db, u, v = other._scaled()
+            da, x, y = _scaled(self.entries)
+            db, u, v = _scaled(other.entries)
             irr_a, irr_b = any(y), any(v)
             d = da * db
             cols = [(u[j::p], v[j::p]) for j in range(p)]

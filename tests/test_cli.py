@@ -15,7 +15,7 @@ from orthoplex.config import F0, F1, FMatrix
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.ring import SQRT2
 
-from conftest import EXPECTED_BENDS_P1
+from conftest import EXPECTED_BENDS_P1, F1_D36
 from mobius import apply_mobius, mobius_rescale, mobius_translate
 
 
@@ -534,6 +534,25 @@ def test_geometric_bytes_are_frozen(capsys):
         code, out, err = run_cli(argv.split(), capsys)
         assert code == want_code and err == "", argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of ``export --seed <F1_D36> --cap 12`` (16,346 csv and 42,759 json
+# bytes, entries over denominators up to 36), frozen from the version that
+# sorted spheres on QSqrt2 |bend| rather than on an int key
+F1_D36_EXPORT = {
+    "csv": "15aa8a2bc92d105653400826efb446ee04f050e8da8156e02c1111d5aa4f9f51",
+    "json": "dafb2fc19085cfce300c1e18ad6b86c83f0ae75f57b4e4d6ac053c9a4a0f841e",
+}
+
+
+def test_non_unit_denominator_export_is_frozen(tmp_path, capsys):
+    path = tmp_path / "f1_d36.json"
+    path.write_text(json.dumps(F1_D36.to_json_dict()))
+    for fmt, digest in F1_D36_EXPORT.items():
+        code, out, err = run_cli(["export", "--seed", str(path), "--cap", "12",
+                                  "--format", fmt], capsys)
+        assert code == 0 and err == "", fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_bare_seed_name_is_a_path(tmp_path, monkeypatch, capsys):

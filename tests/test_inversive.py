@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthoplex.config import BUILTIN_SEEDS, v_from_f
 from orthoplex.inversive import (
@@ -18,6 +20,7 @@ from mobius import (
 )
 
 ONE = QSqrt2(1)
+HALF = QSqrt2(Fraction(1, 2))
 
 
 def all_table_rows():
@@ -220,3 +223,57 @@ def test_float_rotation_invariance():
     q = np.array([[float(Q_SIGMA[i, j].to_float()) for j in range(5)]
                   for i in range(5)])
     assert np.max(np.abs(m @ q @ m.T - q)) < 1e-12
+
+
+def expanded_product(u, w):
+    """The inversive product as ten chained ``QSqrt2`` operations."""
+    spatial = u.xhat * w.xhat + u.yhat * w.yhat + u.zhat * w.zhat
+    return spatial - (u.a * w.b + u.b * w.a) * HALF
+
+
+def inverse_center_radius(v):
+    """Centre and oriented radius of an honest row through 1/b."""
+    binv = v.b.inverse()
+    return (v.xhat * binv, v.yhat * binv, v.zhat * binv), binv
+
+
+# mixed denominators and sqrt2 parts of either sign
+_FRACTION = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+_Q = st.builds(QSqrt2, _FRACTION, _FRACTION)
+_ROW = st.builds(coord5, _Q, _Q, _Q, _Q, _Q)
+
+
+@given(_ROW, _ROW)
+@settings(max_examples=200, deadline=None)
+def test_product_is_the_expanded_form(u, w):
+    # rows of any norm; the product of a row with itself takes one scaling
+    assert inversive_product(u, w) == expanded_product(u, w)
+    assert inversive_product(u, u) == expanded_product(u, u)
+    assert inversive_product(u, coord5(*u)) == expanded_product(u, u)
+
+
+@given(st.tuples(_Q, _Q, _Q), _Q.filter(bool), _Q.filter(bool), st.booleans(),
+       st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_centre_and_radius_are_the_inverse_route(center, radius, delta,
+                                                 plane, at):
+    # honest rows of negative and irrational bends (the radius is any
+    # nonzero element), planes with a unit normal, and each made
+    # unnormalized by moving one entry
+    if plane:
+        v = coords_from_sphere(PlanarSphere(
+            unit_normal=(Fraction(3, 5), 0, Fraction(-4, 5)), offset=center[0]))
+    else:
+        v = coords_from_sphere(HonestSphere(center=center,
+                                            oriented_radius=radius))
+    assert expanded_product(v, v) == ONE
+    s = sphere_from_coords(v)
+    if plane:
+        assert s == PlanarSphere(unit_normal=v[2:], offset=v.a * HALF)
+    else:
+        assert (s.center, s.oriented_radius) == inverse_center_radius(v)
+        assert (s.center, s.oriented_radius) == (center, radius)
+    moved = coord5(*(x + delta if k == at else x for k, x in enumerate(v)))
+    assume(expanded_product(moved, moved) != ONE)
+    with pytest.raises(ValueError, match="not normalized"):
+        sphere_from_coords(moved)

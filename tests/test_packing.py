@@ -723,6 +723,27 @@ def test_geometric_images_walk_like_their_builtin():
     assert unbounded >= 18
 
 
+@pytest.mark.parametrize("block", [1, 3, packing._BLOCK // 16])
+def test_geometric_walk_does_not_depend_on_its_block(block, monkeypatch):
+    # reports and export bytes with every geometric block forced to
+    # ``block`` states against those of the block rule, also at budgets
+    # that refuse a level part-built
+    cases = [(seed, cap, budget) for seed, cap in ((F0, 2), (F1, 12), (F7D, 40))
+             for budget in (5, 1000, 10 ** 7)]
+    want = [geom_report(*case) for case in cases]
+    children, blocks = packing._children, set()
+
+    def forced(states, cap, box, climb, rule_block):
+        blocks.add(rule_block)
+        return children(states, cap, box, climb, block)
+
+    monkeypatch.setattr(packing, "_children", forced)
+    assert [geom_report(*case) for case in cases] == want
+    # the rule took blocks of one state, of the cap, and between
+    assert min(blocks) == 1 and max(blocks) == packing._BLOCK // 16
+    assert len(blocks) > 2
+
+
 def test_geometric_walk_needs_an_invertible_seed():
     # mu identifies a geometric state only for an invertible seed
     # (test_groups.test_antipodal_row_determines_the_configuration); F1
