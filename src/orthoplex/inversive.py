@@ -14,7 +14,8 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .ring import Mat, ONE, QSqrt2, ZERO, Scalar, _reduced, _scaled
+from .ring import (
+    Mat, ONE, QSqrt2, ZERO, Scalar, _reduced, _scaled, format_qsqrt2)
 
 
 class Coord5(NamedTuple):
@@ -45,7 +46,7 @@ class Coord5(NamedTuple):
         return Coord5(*(k * x for x in self))
 
     def serialize(self) -> Tuple[str, ...]:
-        return tuple(str(x) for x in self)
+        return tuple(map(format_qsqrt2, self))
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,23 @@ def inversive_product(u: Coord5, w: Coord5) -> QSqrt2:
 
 
 def sphere_from_coords(v: Coord5) -> OrientedSphere:
-    if inversive_product(v, v) != ONE:
+    # Sigma(v, v) = 1 on the integer parts (x + y sqrt2)/D of v: -a b +
+    # xhat^2 + yhat^2 + zhat^2 times D^2 is D^2 with no sqrt2 part
+    D, (xa, xb, *x), (ya, yb, *y) = _scaled(v)
+    if (sum(p * p + 2 * q * q for p, q in zip(x, y)) - xa * xb - 2 * ya * yb
+            != D * D or 2 * sum(map(mul, x, y)) != xa * yb + ya * xb):
         raise ValueError("coordinate vector is not normalized: Sigma(v,v) != 1")
     if not v.b:
         return PlanarSphere(unit_normal=(v.xhat, v.yhat, v.zhat),
                             offset=v.a * _HALF)
-    bx, by, bd = v.b.xyd
-    # (x + y sqrt2)/d over b = (bx + by sqrt2)/bd is bd (x + y sqrt2)(bx -
-    # by sqrt2) / (d n), n = bx^2 - 2 by^2 made positive with the sign s
-    n = bx * bx - 2 * by * by
-    s, n = (bd, n) if n > 0 else (-bd, -n)
+    # an entry (p + q sqrt2)/D over b = (xb + yb sqrt2)/D is (p + q sqrt2)
+    # (xb - yb sqrt2)/n, n = xb^2 - 2 yb^2 made positive with the sign s;
+    # 1/b is p = D, q = 0
+    n = xb * xb - 2 * yb * yb
+    s, n = (1, n) if n > 0 else (-1, -n)
     *center, radius = (
-        _reduced(s * (x * bx - 2 * y * by), s * (y * bx - x * by), d * n)
-        for x, y, d in [c.xyd for c in v[2:]] + [(1, 0, 1)])
+        _reduced(s * (p * xb - 2 * q * yb), s * (q * xb - p * yb), n)
+        for p, q in zip(x + [D], y + [0]))
     return HonestSphere(center=tuple(center), oriented_radius=radius)
 
 

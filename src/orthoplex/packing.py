@@ -14,8 +14,10 @@ Geometric mode walks C = 9 channels, the bend and then the rational and
 sqrt2 parts of a, xhat, yhat and zhat, all times the seed's common
 denominator; it also needs a new sphere in an exact Z[sqrt2] box, tested
 once per block on the four new spheres of all its moves, and keeps every
-sphere.  ``QSqrt2`` arithmetic only scales the seed in; each sphere comes
-out as reduced triples over that denominator.
+sphere.  ``QSqrt2`` arithmetic only scales the seed in.  Rows end at the
+report: a geometric ``PackingReport`` holds its distinct spheres as sorted
+int64 rows over that denominator (``SphereRows``), and ``export_scene`` is
+the one place that builds ``Coord5`` spheres of reduced triples from them.
 
 A bend state is put in canonical form, the elementwise minimum of each
 pair sorted by a five-comparator min/max network, then mu, and deduped on
@@ -139,6 +141,36 @@ class PackingSpec:
                 f"budget must be at least 1, got {self.budget}")
 
 
+@dataclass(frozen=True, eq=False)
+class SphereRows:
+    """Distinct spheres as read-only int64 ``rows`` (n, 9), each a sphere's
+    geometric channels times the common denominator ``d``, sorted and
+    without repeats.  Being over one ``d``, the rows sort as their exact
+    values do.  Two are equal when ``d`` and every row are."""
+
+    rows: np.ndarray
+    d: int
+
+    @classmethod
+    def of(cls, rows: np.ndarray, d: int) -> "SphereRows":
+        """The distinct ``rows`` sorted by ``np.lexsort`` and a neighbour
+        mask (``np.unique`` imports ``numpy.ma``: see ``_distinct``)."""
+        rows = rows[np.lexsort(rows.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        rows = rows[first]
+        rows.flags.writeable = False
+        return cls(rows, d)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SphereRows):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.rows, other.rows)
+
+
 @dataclass(frozen=True)
 class PackingReport:
     """Outcome of one orbit walk.
@@ -147,9 +179,11 @@ class PackingReport:
     below the cap in geometric mode; in bend mode sphere identity is not
     recoverable, so it counts occurrences across the deduped states
     instead.  Its keys, sorted, are ``bends``.
-    ``spheres``, in geometric mode only, holds each distinct sphere once,
-    ordered by its exact channels: bend, then the rational and sqrt2 parts
-    of a, xhat, yhat and zhat.
+    ``spheres``, in geometric mode only, holds each distinct sphere at
+    most the cap once, as int64 rows over one denominator, ordered by
+    their exact channels: bend, then the rational and sqrt2 parts of a,
+    xhat, yhat and zhat.  The rows end at the report: ``export_scene`` is
+    the one place that builds exact ``Coord5`` spheres from them.
     """
 
     mode: str
@@ -159,7 +193,7 @@ class PackingReport:
     epsilon: int
     frontier_exhausted: bool
     states: int
-    spheres: Optional[Tuple[Coord5, ...]] = None
+    spheres: Optional[SphereRows] = None
 
     @property
     def bends(self) -> Tuple[int, ...]:
@@ -513,7 +547,7 @@ def _channels(v: Coord5) -> List[int]:
 
 def _generate_geom(spec: PackingSpec):
     """Distinct-sphere bend multiplicities, zero-sphere count, states,
-    exhaustion and the spheres at most the cap of a geometric walk."""
+    exhaustion and the sphere rows at most the cap of a geometric walk."""
     if not check_gramian(spec.seed):  # mu keys need an invertible seed
         raise WalkInputError("geometric seed fails the Gramian identity")
     rows = spec.seed.rows
@@ -522,22 +556,24 @@ def _generate_geom(spec: PackingSpec):
     found = []
 
     def level(states: np.ndarray):
-        los = states[:4]
-        all8 = np.concatenate([los, 2 * states[4:] - los])
-        all8 = all8.reshape(-1, all8.shape[2])
-        found.append(np.compress(all8[:, 0] <= cap, all8, axis=0))
+        # past the root, a state's slots hold spheres of the state it came
+        # from, so only its greater spheres 2*mu - slot can be new
+        new = 2 * states[4:] - states[:4]
+        if not found:
+            new = np.concatenate([states[:4], new])
+        new = new.reshape(-1, new.shape[2])
+        found.append(np.compress(new[:, 0] <= cap, new, axis=0))
 
     _, states, exhausted = _walk([_channels(v.scale(d)) for v in rows], cap,
                                  spec.budget, level, DEFAULT_BOX, d)
-    # a set, not np.unique(axis=0): that imports numpy.ma on its first call,
-    # and benchmarks/workloads.Clock calls np.unique from a SIGALRM handler,
-    # which recurses to a RecursionError if it lands inside that import
-    distinct = set(map(tuple, np.concatenate(found).tolist()))
-    spheres = tuple(
-        Coord5(_reduced(a, a2, d), _reduced(b, 0, d), _reduced(x, x2, d),
-               _reduced(y, y2, d), _reduced(z, z2, d))
-        for b, a, a2, x, x2, y, y2, z, z2 in sorted(distinct))
-    mult = Counter(row[0] // d for row in distinct)
+    walked = np.concatenate(found)
+    found.clear()  # the levels' arrays go before the sort
+    spheres = SphereRows.of(walked, d)
+    # the bends, sorted, in runs
+    b = spheres.rows[:, 0]
+    starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
+    runs = np.diff(np.append(starts, len(b)))
+    mult = dict(zip((b[starts] // d).tolist(), runs.tolist()))
     return mult, mult.get(0, 0), states, exhausted, spheres
 
 
@@ -589,45 +625,52 @@ def missing_admissible(report: PackingReport, up_to: int,
 
 
 def _sphere_record(v: Coord5, text: Tuple[str, ...]) -> dict:
-    """The record of sphere ``v``, whose ``serialize()`` is ``text``."""
+    """The record of sphere ``v``, whose ``serialize()`` is ``text``, its
+    keys in ``_CSV_FIELDS`` order."""
     s = sphere_from_coords(v)
-    rec = dict(zip(Coord5._fields, text),
-               kind="sphere" if isinstance(s, HonestSphere) else "plane",
-               bend=v.b.to_float())
+    a, b, xhat, yhat, zhat = text
     if isinstance(s, HonestSphere):
-        rec.update(
-            cx=s.center[0].to_float(), cy=s.center[1].to_float(),
-            cz=s.center[2].to_float(), r=s.oriented_radius.to_float(), h=None,
-        )
+        kind, (cx, cy, cz) = "sphere", s.center
+        r, h = s.oriented_radius.to_float(), None
     else:
-        rec.update(
-            cx=s.unit_normal[0].to_float(), cy=s.unit_normal[1].to_float(),
-            cz=s.unit_normal[2].to_float(), r=None, h=s.offset.to_float(),
-        )
-    return rec
+        kind, (cx, cy, cz) = "plane", s.unit_normal
+        r, h = None, s.offset.to_float()
+    return {"kind": kind, "a": a, "b": b, "xhat": xhat, "yhat": yhat,
+            "zhat": zhat, "bend": v.b.to_float(), "cx": cx.to_float(),
+            "cy": cy.to_float(), "cz": cz.to_float(), "r": r, "h": h}
 
 
 _CSV_FIELDS = ("kind", "a", "b", "xhat", "yhat", "zhat",
                "bend", "cx", "cy", "cz", "r", "h")
 
+# A record's keys and values as ``json.dumps(doc, indent=2, sort_keys=True)``
+# lays them out at depth 3, through the C encoder, which ``indent`` turns off
+_RECORD_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
 
 def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
-    """One record per sphere of a geometric report, ordered by |bend|
-    then exact coordinates.  A walk's bends are rational, so |bend| sorts
-    as the int |numerator| over the bends' least common denominator."""
+    """One record per sphere of a geometric report, ordered by |bend| then
+    exact text.  The rows are over one denominator, so |bend| sorts as the
+    int |bend channel|; each row becomes a ``Coord5`` of reduced triples."""
     if report.mode != "geom" or report.spheres is None:
         raise ValueError("scene export needs a geometric-mode report")
     if fmt not in ("csv", "json"):
         raise ValueError("format must be 'csv' or 'json'")
-    d = math.lcm(*(v.b.xyd[2] for v in report.spheres))
-    keyed = sorted((abs(v.b.xyd[0]) * (d // v.b.xyd[2]), v.serialize(), v)
-                   for v in report.spheres)
+    d, keyed = report.spheres.d, []
+    for b, a, a2, x, x2, y, y2, z, z2 in report.spheres.rows.tolist():
+        v = Coord5(_reduced(a, a2, d), _reduced(b, 0, d), _reduced(x, x2, d),
+                   _reduced(y, y2, d), _reduced(z, z2, d))
+        keyed.append((abs(b), v.serialize(), v))
+    keyed.sort()  # the texts of distinct rows differ: no Coord5 is compared
     records = [_sphere_record(v, text) for _, text, v in keyed]
     if fmt == "json":
-        doc = {"schema_version": 1, "spheres": records}
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        body = ",\n    ".join("{\n      " + _RECORD_JSON.encode(rec)[1:-1]
+                              + "\n    }" for rec in records)
+        spheres = f"[\n    {body}\n  ]" if records else "[]"
+        doc = f'{{\n  "schema_version": 1,\n  "spheres": {spheres}\n}}\n'
+        return doc.encode()
     lines = [",".join(_CSV_FIELDS)]
     for rec in records:
         lines.append(",".join(
-            "" if rec[f] is None else str(rec[f]) for f in _CSV_FIELDS))
+            "" if x is None else str(x) for x in rec.values()))
     return ("\n".join(lines) + "\n").encode()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orthoplex.config import BUILTIN_SEEDS, v_from_f
@@ -277,3 +277,36 @@ def test_centre_and_radius_are_the_inverse_route(center, radius, delta,
     assume(expanded_product(moved, moved) != ONE)
     with pytest.raises(ValueError, match="not normalized"):
         sphere_from_coords(moved)
+
+
+_NOT_NORMALIZED = "coordinate vector is not normalized: Sigma(v,v) != 1"
+
+# rows of honest spheres of negative and irrational bends and of planes,
+# each moved in one entry or not at all
+_NORMALIZED = st.one_of(
+    st.builds(lambda center, radius: coords_from_sphere(HonestSphere(
+        center=center, oriented_radius=radius)),
+              st.tuples(_Q, _Q, _Q), _Q.filter(bool)),
+    st.builds(lambda offset: coords_from_sphere(PlanarSphere(
+        unit_normal=(Fraction(3, 5), 0, Fraction(-4, 5)), offset=offset)),
+              _Q))
+_MOVED = st.builds(
+    lambda v, delta, at: coord5(*(x + delta if k == at else x
+                                  for k, x in enumerate(v))),
+    _NORMALIZED, st.sampled_from([0, 1, SQRT2, -SQRT2, HALF]),
+    st.integers(0, 4))
+
+
+@given(st.one_of(_ROW, _NORMALIZED, _MOVED))
+@example(coord5(-SQRT2, 1, 1, 0, 0))  # Sigma = 1 + sqrt2: rational part 1
+@example(coord5(1, 1, 0, 0, 0))  # Sigma = 0, with no sqrt2 part
+@settings(max_examples=300, deadline=None)
+def test_normalization_check_is_the_inversive_product(v):
+    # the check runs on the rows' integer parts over one denominator; its
+    # oracle is the product in exact QSqrt2 arithmetic
+    if inversive_product(v, v) == ONE:
+        assert sphere_from_coords(v).bend == v.b
+    else:
+        with pytest.raises(ValueError) as err:
+            sphere_from_coords(v)
+        assert str(err.value) == _NOT_NORMALIZED

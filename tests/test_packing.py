@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from orthoplex.config import (
 from orthoplex.groups import APOLLONIAN, apply, element
 from orthoplex.inversive import Coord5, classify_pair
 from orthoplex.packing import (
-    DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec,
+    DEFAULT_BOX, CapBelowSeedError, PackingReport, PackingSpec, SphereRows,
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
     missing_admissible, orbit_bend_vectors,
 )
@@ -137,9 +138,17 @@ def test_obstruction_holds_on_reports():
         assert all(b % 4 != forbidden for b in rep.bends)
 
 
+def exact_spheres(spheres):
+    """The ``Coord5`` of each row of a report's ``spheres``, in order."""
+    return tuple(
+        Coord5(*(QSqrt2(Fraction(x, spheres.d), Fraction(y, spheres.d))
+                 for x, y in ((a, a2), (b, 0), (x, x2), (y, y2), (z, z2))))
+        for b, a, a2, x, x2, y, y2, z, z2 in spheres.rows.tolist())
+
+
 def test_geometric_pairs_never_intersect():
     rep = run(F1, 20, mode="geom")
-    spheres = rep.spheres
+    spheres = exact_spheres(rep.spheres)
     r = random.Random(17)
     n = len(spheres)
     for _ in range(10_000):
@@ -687,9 +696,10 @@ def test_geometric_walk_matches_reference():
             rep = generate(PackingSpec(seed=seed, bend_cap=cap, mode="geom",
                                        budget=budget))
             assert rep.states == states <= budget
-            assert rep.spheres == tuple(sorted(spheres, key=lambda v: (
-                v.b.rat, v.a.rat, v.a.irr, v.xhat.rat, v.xhat.irr,
-                v.yhat.rat, v.yhat.irr, v.zhat.rat, v.zhat.irr)))
+            assert exact_spheres(rep.spheres) == tuple(sorted(
+                spheres, key=lambda v: (
+                    v.b.rat, v.a.rat, v.a.irr, v.xhat.rat, v.xhat.irr,
+                    v.yhat.rat, v.yhat.irr, v.zhat.rat, v.zhat.irr)))
             assert rep.bend_multiplicity == dict(mult)
             assert rep.classification == reference_classification(mult)
             assert rep.frontier_exhausted == exhausted
@@ -742,6 +752,65 @@ def test_geometric_walk_does_not_depend_on_its_block(block, monkeypatch):
     # the rule took blocks of one state, of the cap, and between
     assert min(blocks) == 1 and max(blocks) == packing._BLOCK // 16
     assert len(blocks) > 2
+
+
+def geometric_block_counts(monkeypatch, budget, forced=None):
+    """The blocks ``_children`` yields over the F7d cap-200 geometric walk,
+    and the sum over its levels of ceil(n / block) under the module
+    docstring's rule: min(_BLOCK // 16, max(1, room // 64)), room the
+    budget less the states taken.  ``forced`` replaces the walk's block."""
+    levels, yielded = [], [0]
+
+    def spy(states, cap, box, climb, block):
+        levels.append(states.shape[1])
+        for batch in _children(states, cap, box, climb, forced or block):
+            yielded[0] += 1
+            yield batch
+
+    monkeypatch.setattr(packing, "_children", spy)
+    rep = generate(PackingSpec(seed=F7D, bend_cap=200, mode="geom",
+                               budget=budget))
+    assert rep.frontier_exhausted and rep.states == sum(levels) == 696
+    want, taken = 0, 0
+    for n in levels:
+        taken += n
+        block = min(packing._BLOCK // 16, max(1, (budget - taken) // 64))
+        want += -(-n // block)
+    return yielded[0], want
+
+
+@pytest.mark.parametrize("budget", [700, 10 ** 7])
+def test_geometric_walk_takes_the_blocks_of_its_rule(budget, monkeypatch):
+    # a rule that shrank every block to one state kept the bytes
+    # (test_geometric_walk_does_not_depend_on_its_block) and ran 7x slower
+    got, want = geometric_block_counts(monkeypatch, budget)
+    assert got == want
+    one, want = geometric_block_counts(monkeypatch, budget, forced=1)
+    assert one == 696 > want
+
+
+def json_oracle(blob):
+    """The stdlib's layout of the document in ``blob``."""
+    doc = json.loads(blob)
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_export_json_is_the_stdlib_layout():
+    # records go through the C encoder inside a fixed outer layout; F0 has
+    # planes, with r null and a float h, and F1_D36 a denominator of 36
+    empty = PackingReport(mode="geom", bend_cap=1, bend_multiplicity={},
+                          classification="full_space", epsilon=1,
+                          frontier_exhausted=True, states=1,
+                          spheres=SphereRows.of(np.empty((0, 9), np.int64), 1))
+    reports = [empty] + [run(seed, cap, mode="geom")
+                         for seed, cap in ((F0, 2), (F1, 12), (F1_D36, 12))]
+    for rep in reports:
+        blob = export_scene(rep, "json")
+        assert blob == json_oracle(blob)
+    assert export_scene(empty, "json") == (
+        b'{\n  "schema_version": 1,\n  "spheres": []\n}\n')
+    planes = json.loads(export_scene(reports[1], "json"))["spheres"]
+    assert any(s["r"] is None and type(s["h"]) is float for s in planes)
 
 
 def test_geometric_walk_needs_an_invertible_seed():
@@ -892,17 +961,13 @@ def test_orbit_bend_vectors_hold_ints():
 
 
 def test_export_v0_configuration_alone():
-    spheres = []
-    seen = set()
-    for row in F0.sphere_rows():
-        if row.serialize() not in seen:
-            seen.add(row.serialize())
-            spheres.append(row)
+    d = math.lcm(*(c.xyd[2] for v in F0.rows for c in v))
+    rows = np.array([_channels(v.scale(d)) for v in F0.sphere_rows()])
     rep = PackingReport(mode="geom", bend_cap=2,
                         bend_multiplicity={0: 2, 1: 4, 2: 2},
                         classification="planar", epsilon=1,
                         frontier_exhausted=True, states=1,
-                        spheres=tuple(spheres))
+                        spheres=SphereRows.of(rows, d))
     blob = export_scene(rep, "csv").decode()
     lines = blob.strip().split("\n")
     assert len(lines) == 9  # header + 8 records
@@ -912,7 +977,8 @@ def test_export_v0_configuration_alone():
 def test_export_empty_report_is_header_only():
     rep = PackingReport(mode="geom", bend_cap=1, bend_multiplicity={},
                         classification="full_space", epsilon=1,
-                        frontier_exhausted=True, states=1, spheres=())
+                        frontier_exhausted=True, states=1,
+                        spheres=SphereRows.of(np.empty((0, 9), np.int64), 1))
     blob = export_scene(rep, "csv").decode()
     assert blob == ("kind,a,b,xhat,yhat,zhat,bend,cx,cy,cz,r,h\n")
 
