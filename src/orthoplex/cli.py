@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Every run with identical inputs produces byte-identical output: all
-collections are emitted sorted, and machine output goes through one JSON
-encoder with sorted keys.
+collections are emitted sorted, and machine output is the layout of one
+JSON encoder with sorted keys.
 
 Exit codes: 0 success, 1 a verification suite reported a failure,
 2 invalid input, 3 node budget exhausted before the frontier emptied.
@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a verification suite reported a failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -314,7 +315,10 @@ def cmd_export(args) -> int:
     return 0 if report.frontier_exhausted else 3
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use, inside a one-shot
+    process's start-up; each parse leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="orthoplex",
         description="Exact construction and verification of orthoplicial "
@@ -398,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; every call of a process parses with the same parser."""
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, arithmetic.WalkInputError) as e:

@@ -49,6 +49,18 @@ class Coord5(NamedTuple):
         return tuple(map(format_qsqrt2, self))
 
 
+def _exact(sphere, triple: str, scalar: str):
+    """Make a sphere's ``triple`` a tuple of three ``QSqrt2`` and its
+    ``scalar`` a ``QSqrt2``, keeping the entries that already are."""
+    xs, x = getattr(sphere, triple), getattr(sphere, scalar)
+    if len(xs) != 3:
+        raise ValueError(f"{triple} needs exactly three entries")
+    if not (type(xs) is tuple
+            and type(xs[0]) is type(xs[1]) is type(xs[2]) is type(x) is QSqrt2):
+        object.__setattr__(sphere, triple, tuple(map(QSqrt2.coerce, xs)))
+        object.__setattr__(sphere, scalar, QSqrt2.coerce(x))
+
+
 @dataclass(frozen=True)
 class HonestSphere:
     """A genuine sphere; ``oriented_radius`` < 0 means the orienting
@@ -58,10 +70,7 @@ class HonestSphere:
     oriented_radius: QSqrt2
 
     def __post_init__(self):
-        object.__setattr__(self, "center",
-                           tuple(QSqrt2.coerce(c) for c in self.center))
-        object.__setattr__(self, "oriented_radius",
-                           QSqrt2.coerce(self.oriented_radius))
+        _exact(self, "center", "oriented_radius")
         if not self.oriented_radius:
             raise ValueError("honest sphere needs a nonzero oriented radius")
 
@@ -78,10 +87,8 @@ class PlanarSphere:
     offset: QSqrt2
 
     def __post_init__(self):
-        n = tuple(QSqrt2.coerce(c) for c in self.unit_normal)
-        object.__setattr__(self, "unit_normal", n)
-        object.__setattr__(self, "offset", QSqrt2.coerce(self.offset))
-        if sum((c * c for c in n), ZERO) != ONE:
+        _exact(self, "unit_normal", "offset")
+        if sum((c * c for c in self.unit_normal), ZERO) != ONE:
             raise ValueError("planar sphere needs an exactly unit normal")
 
     @property
@@ -155,14 +162,16 @@ def sphere_from_coords(v: Coord5) -> OrientedSphere:
         return PlanarSphere(unit_normal=(v.xhat, v.yhat, v.zhat),
                             offset=v.a * _HALF)
     # an entry (p + q sqrt2)/D over b = (xb + yb sqrt2)/D is (p + q sqrt2)
-    # (xb - yb sqrt2)/n, n = xb^2 - 2 yb^2 made positive with the sign s;
-    # 1/b is p = D, q = 0
+    # (xb - yb sqrt2)/n, n = xb^2 - 2 yb^2, or (pu - 2qw + (qu - pw) sqrt2)/|n|
+    # with (u, w) = +-(xb, yb) of the sign of n; 1/b is p = D, q = 0
     n = xb * xb - 2 * yb * yb
-    s, n = (1, n) if n > 0 else (-1, -n)
-    *center, radius = (
-        _reduced(s * (p * xb - 2 * q * yb), s * (q * xb - p * yb), n)
-        for p, q in zip(x + [D], y + [0]))
-    return HonestSphere(center=tuple(center), oriented_radius=radius)
+    u, w, n = (xb, yb, n) if n > 0 else (-xb, -yb, -n)
+    (px, py, pz), (qx, qy, qz) = x, y
+    return HonestSphere(
+        center=(_reduced(px * u - 2 * qx * w, qx * u - px * w, n),
+                _reduced(py * u - 2 * qy * w, qy * u - py * w, n),
+                _reduced(pz * u - 2 * qz * w, qz * u - pz * w, n)),
+        oriented_radius=_reduced(D * u, -D * w, n))
 
 
 def classify_pair(u: Coord5, w: Coord5) -> PairRelation:

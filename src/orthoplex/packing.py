@@ -17,7 +17,8 @@ once per block on the four new spheres of all its moves, and keeps every
 sphere.  ``QSqrt2`` arithmetic only scales the seed in.  Rows end at the
 report: a geometric ``PackingReport`` holds its distinct spheres as sorted
 int64 rows over that denominator (``SphereRows``), and ``export_scene`` is
-the one place that builds ``Coord5`` spheres of reduced triples from them.
+the one place that builds ``Coord5`` spheres of reduced triples from them,
+writing their JSON records into the stdlib's layout with no encoder call.
 
 A bend state is put in canonical form, the elementwise minimum of each
 pair sorted by a five-comparator min/max network, then mu, and deduped on
@@ -624,34 +625,47 @@ def missing_admissible(report: PackingReport, up_to: int,
 # scene export
 
 
-def _sphere_record(v: Coord5, text: Tuple[str, ...]) -> dict:
-    """The record of sphere ``v``, whose ``serialize()`` is ``text``, its
-    keys in ``_CSV_FIELDS`` order."""
+def _sphere_record(v: Coord5, text: Tuple[str, ...]) -> tuple:
+    """The record of sphere ``v``, whose ``serialize()`` is ``text``, as a
+    tuple in ``_CSV_FIELDS`` order."""
     s = sphere_from_coords(v)
-    a, b, xhat, yhat, zhat = text
     if isinstance(s, HonestSphere):
         kind, (cx, cy, cz) = "sphere", s.center
         r, h = s.oriented_radius.to_float(), None
     else:
         kind, (cx, cy, cz) = "plane", s.unit_normal
         r, h = None, s.offset.to_float()
-    return {"kind": kind, "a": a, "b": b, "xhat": xhat, "yhat": yhat,
-            "zhat": zhat, "bend": v.b.to_float(), "cx": cx.to_float(),
-            "cy": cy.to_float(), "cz": cz.to_float(), "r": r, "h": h}
+    return (kind, *text, v.b.to_float(), cx.to_float(), cy.to_float(),
+            cz.to_float(), r, h)
 
 
 _CSV_FIELDS = ("kind", "a", "b", "xhat", "yhat", "zhat",
                "bend", "cx", "cy", "cz", "r", "h")
 
-# A record's keys and values as ``json.dumps(doc, indent=2, sort_keys=True)``
-# lays them out at depth 3, through the C encoder, which ``indent`` turns off
-_RECORD_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# A record as ``json.dumps(doc, indent=2, sort_keys=True)`` lays it out at
+# depth 3: its keys sorted, each value in a ``{i}`` slot of the template
+_RECORD_JSON = "{{\n      " + ",\n      ".join(
+    f"{json.encoder.encode_basestring_ascii(k)}: {{{i}}}"
+    for k, i in sorted(zip(_CSV_FIELDS, itertools.count()))) + "\n    }}"
+
+
+def _json_value(x) -> str:
+    """``json.dumps(x)`` of a record value: a str, a finite float or None."""
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    if type(x) is str:
+        return json.encoder.encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"no scene JSON text for {x!r}")
 
 
 def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
     """One record per sphere of a geometric report, ordered by |bend| then
     exact text.  The rows are over one denominator, so |bend| sorts as the
-    int |bend channel|; each row becomes a ``Coord5`` of reduced triples."""
+    int |bend channel|; each row becomes a ``Coord5`` of reduced triples.
+    JSON records are written straight into the layout of ``json.dumps(doc,
+    indent=2, sort_keys=True)``, with no encoder call."""
     if report.mode != "geom" or report.spheres is None:
         raise ValueError("scene export needs a geometric-mode report")
     if fmt not in ("csv", "json"):
@@ -664,13 +678,12 @@ def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
     keyed.sort()  # the texts of distinct rows differ: no Coord5 is compared
     records = [_sphere_record(v, text) for _, text, v in keyed]
     if fmt == "json":
-        body = ",\n    ".join("{\n      " + _RECORD_JSON.encode(rec)[1:-1]
-                              + "\n    }" for rec in records)
+        body = ",\n    ".join(_RECORD_JSON.format(*map(_json_value, rec))
+                              for rec in records)
         spheres = f"[\n    {body}\n  ]" if records else "[]"
         doc = f'{{\n  "schema_version": 1,\n  "spheres": {spheres}\n}}\n'
         return doc.encode()
     lines = [",".join(_CSV_FIELDS)]
     for rec in records:
-        lines.append(",".join(
-            "" if x is None else str(x) for x in rec.values()))
+        lines.append(",".join(["" if x is None else str(x) for x in rec]))
     return ("\n".join(lines) + "\n").encode()

@@ -611,3 +611,33 @@ def test_python_dash_m_runs_the_cli(capsys):
     bare = subprocess.run([sys.executable, "-m", "orthoplex"], env=env,
                           capture_output=True, text=True, timeout=300)
     assert bare.returncode == 2 and bare.stderr.startswith("usage: orthoplex")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_runs_like_a_fresh_process(monkeypatch, capsys):
+    # every run of a process parses with one parser: a failed parse, --help
+    # and a scan with --from leave nothing behind for the next run
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    scan = ["scan", "--seed", "builtin:F1", "--cap", "40"]
+    runs = [(["bends", "--seed", "builtin:F1", "--cap", "x"], 2),
+            (["--help"], 0), (scan + ["--from", "5"], 0), (scan, 0)]
+    for argv, want in runs:
+        try:
+            code = cli.run(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "orthoplex", *argv],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+        assert (code, out.out, out.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == want
+    # the last scan starts at the least bend, not at the --from before it
+    assert out.out.startswith("scan [-1, 40] ")
+    assert cli.build_parser().parse_args(scan).start is None

@@ -37,6 +37,16 @@ BAD_INPUTS = {
                                ValueError, "nonzero oriented radius"),
     "planar_sphere_normal_110": (lambda: PlanarSphere((1, 1, 0), 0),
                                  ValueError, "unit normal"),
+    "honest_sphere_centre_of_2": (
+        lambda: HonestSphere(center=(0, 0), oriented_radius=1),
+        ValueError, "center needs exactly three entries"),
+    "honest_sphere_centre_of_4": (
+        lambda: HonestSphere(center=(0, 0, 0, 0), oriented_radius=1),
+        ValueError, "center needs exactly three entries"),
+    # (1,) has squares summing to 1
+    "planar_sphere_normal_of_1": (
+        lambda: PlanarSphere(unit_normal=(1,), offset=0),
+        ValueError, "unit_normal needs exactly three entries"),
     "classify_pair_same_sphere": (lambda: classify_pair(F0.rows[0], F0.rows[0]),
                                   ValueError, "two distinct spheres"),
     "classify_pair_unnormalized": (

@@ -61,6 +61,33 @@ def test_sphere_from_coords_examples():
     assert s6.oriented_radius == QSqrt2(Fraction(1, 2))
 
 
+def test_sphere_constructors_make_exact_tuples():
+    # int, Fraction and list inputs become a tuple of QSqrt2; QSqrt2 inputs
+    # are kept as the same objects
+    s = HonestSphere(center=[1, Fraction(1, 2), SQRT2],
+                     oriented_radius=Fraction(-3, 2))
+    assert type(s.center) is tuple and s.center[2] is SQRT2
+    assert all(type(c) is QSqrt2 for c in s.center + (s.oriented_radius,))
+    assert s.center == (ONE, HALF, SQRT2)
+    assert s.oriented_radius == QSqrt2(Fraction(-3, 2))
+    p = PlanarSphere(unit_normal=[0, ONE, Fraction(0)], offset=2)
+    assert type(p.unit_normal) is tuple and p.unit_normal[1] is ONE
+    assert all(type(c) is QSqrt2 for c in p.unit_normal + (p.offset,))
+    assert (p.unit_normal, p.offset) == ((QSqrt2(0), ONE, QSqrt2(0)), QSqrt2(2))
+    center, radius = (SQRT2, HALF, ONE), -HALF
+    s = HonestSphere(center=center, oriented_radius=radius)
+    assert s.center is center and s.oriented_radius is radius
+    normal = (QSqrt2(0), QSqrt2(0), ONE)
+    p = PlanarSphere(unit_normal=normal, offset=HALF)
+    assert p.unit_normal is normal and p.offset is HALF
+    for bad in (lambda: HonestSphere(center=(0.5, 0, 0), oriented_radius=1),
+                lambda: HonestSphere(center=(0, 0, 0), oriented_radius=1.0),
+                lambda: PlanarSphere(unit_normal=(1.0, 0, 0), offset=0),
+                lambda: PlanarSphere(unit_normal=(1, 0, 0), offset=0.5)):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_sphere_from_coords_rejects_unnormalized():
     with pytest.raises(ValueError):
         sphere_from_coords(coord5(1, 1, 0, 0, 0))

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthoplex import packing
@@ -24,7 +24,7 @@ from orthoplex.packing import (
     WalkInputError, _canonical, _channels, _children, export_scene, generate,
     missing_admissible, orbit_bend_vectors,
 )
-from orthoplex.ring import QSqrt2
+from orthoplex.ring import QSqrt2, format_qsqrt2
 
 import climb_oracle
 from conftest import (
@@ -796,21 +796,49 @@ def json_oracle(blob):
 
 
 def test_export_json_is_the_stdlib_layout():
-    # records go through the C encoder inside a fixed outer layout; F0 has
-    # planes, with r null and a float h, and F1_D36 a denominator of 36
+    # records are written into a fixed template inside a fixed outer
+    # layout; F0 has planes, with r null and a float h, and F1_D36 a
+    # denominator of 36
     empty = PackingReport(mode="geom", bend_cap=1, bend_multiplicity={},
                           classification="full_space", epsilon=1,
                           frontier_exhausted=True, states=1,
                           spheres=SphereRows.of(np.empty((0, 9), np.int64), 1))
     reports = [empty] + [run(seed, cap, mode="geom")
-                         for seed, cap in ((F0, 2), (F1, 12), (F1_D36, 12))]
+                         for seed, cap in ((F0, 2), (F0, 10), (F1, 12),
+                                           (F1_D36, 12), (F7D, 40))]
     for rep in reports:
         blob = export_scene(rep, "json")
         assert blob == json_oracle(blob)
     assert export_scene(empty, "json") == (
         b'{\n  "schema_version": 1,\n  "spheres": []\n}\n')
-    planes = json.loads(export_scene(reports[1], "json"))["spheres"]
-    assert any(s["r"] is None and type(s["h"]) is float for s in planes)
+    for rep in reports[1:3]:
+        planes = json.loads(export_scene(rep, "json"))["spheres"]
+        assert any(s["r"] is None and type(s["h"]) is float for s in planes)
+
+
+_FRACTION = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                         max_denominator=10 ** 4)
+
+
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.none(),
+                 st.builds(QSqrt2, _FRACTION, _FRACTION).map(format_qsqrt2),
+                 st.sampled_from(["sphere", "plane"])))
+@example(-0.0)
+@example(5e-324)
+@example(1e16)
+@example(1e-7)
+@settings(max_examples=300, deadline=None)
+def test_record_values_are_json_dumps_text(x):
+    # the export writes each value itself, as json.dumps would
+    assert packing._json_value(x) == json.dumps(x)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1, True,
+                               QSqrt2(1)])
+def test_record_values_refuse_other_text(x):
+    # json.dumps writes these as Infinity, NaN, 1, true or not at all
+    with pytest.raises(TypeError, match="no scene JSON text"):
+        packing._json_value(x)
 
 
 def test_geometric_walk_needs_an_invertible_seed():
