@@ -16,7 +16,7 @@ from typing import List, Sequence, Set, Tuple
 
 from .config import BendVector, FMatrix, descartes_form
 from .groups import GroupElement, IntRows, _rows
-from .ring import Mat
+from .ring import Mat, _immutable
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +160,7 @@ class GaussianInt:
         object.__setattr__(self, "re", operator.index(re))
         object.__setattr__(self, "im", operator.index(im))
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianInt is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def coerce(cls, x) -> "GaussianInt":

@@ -154,11 +154,12 @@ def inversive_product(u: Coord5, w: Coord5) -> QSqrt2:
 def sphere_from_coords(v: Coord5) -> OrientedSphere:
     # Sigma(v, v) = 1 on the integer parts (x + y sqrt2)/D of v: -a b +
     # xhat^2 + yhat^2 + zhat^2 times D^2 is D^2 with no sqrt2 part
-    D, (xa, xb, *x), (ya, yb, *y) = _scaled(v)
-    if (sum(p * p + 2 * q * q for p, q in zip(x, y)) - xa * xb - 2 * ya * yb
-            != D * D or 2 * sum(map(mul, x, y)) != xa * yb + ya * xb):
+    D, (xa, xb, px, py, pz), (ya, yb, qx, qy, qz) = _scaled(v)
+    if (px * px + py * py + pz * pz + 2 * (qx * qx + qy * qy + qz * qz)
+            - xa * xb - 2 * ya * yb != D * D
+            or 2 * (px * qx + py * qy + pz * qz) != xa * yb + ya * xb):
         raise ValueError("coordinate vector is not normalized: Sigma(v,v) != 1")
-    if not v.b:
+    if not (xb or yb):
         return PlanarSphere(unit_normal=(v.xhat, v.yhat, v.zhat),
                             offset=v.a * _HALF)
     # an entry (p + q sqrt2)/D over b = (xb + yb sqrt2)/D is (p + q sqrt2)
@@ -166,12 +167,10 @@ def sphere_from_coords(v: Coord5) -> OrientedSphere:
     # with (u, w) = +-(xb, yb) of the sign of n; 1/b is p = D, q = 0
     n = xb * xb - 2 * yb * yb
     u, w, n = (xb, yb, n) if n > 0 else (-xb, -yb, -n)
-    (px, py, pz), (qx, qy, qz) = x, y
-    return HonestSphere(
-        center=(_reduced(px * u - 2 * qx * w, qx * u - px * w, n),
-                _reduced(py * u - 2 * qy * w, qy * u - py * w, n),
-                _reduced(pz * u - 2 * qz * w, qz * u - pz * w, n)),
-        oriented_radius=_reduced(D * u, -D * w, n))
+    return HonestSphere((_reduced(px * u - 2 * qx * w, qx * u - px * w, n),
+                         _reduced(py * u - 2 * qy * w, qy * u - py * w, n),
+                         _reduced(pz * u - 2 * qz * w, qz * u - pz * w, n)),
+                        _reduced(D * u, -D * w, n))
 
 
 def classify_pair(u: Coord5, w: Coord5) -> PairRelation:

@@ -652,7 +652,7 @@ _RECORD_JSON = "{{\n      " + ",\n      ".join(
 def _json_value(x) -> str:
     """``json.dumps(x)`` of a record value: a str, a finite float or None."""
     if type(x) is float and math.isfinite(x):
-        return float.__repr__(x)
+        return repr(x)
     if type(x) is str:
         return json.encoder.encode_basestring_ascii(x)
     if x is None:
@@ -672,8 +672,9 @@ def export_scene(report: PackingReport, fmt: str = "csv") -> bytes:
         raise ValueError("format must be 'csv' or 'json'")
     d, keyed = report.spheres.d, []
     for b, a, a2, x, x2, y, y2, z, z2 in report.spheres.rows.tolist():
-        v = Coord5(_reduced(a, a2, d), _reduced(b, 0, d), _reduced(x, x2, d),
-                   _reduced(y, y2, d), _reduced(z, z2, d))
+        v = Coord5._make((_reduced(a, a2, d), _reduced(b, 0, d),
+                          _reduced(x, x2, d), _reduced(y, y2, d),
+                          _reduced(z, z2, d)))
         keyed.append((abs(b), v.serialize(), v))
     keyed.sort()  # the texts of distinct rows differ: no Coord5 is compared
     records = [_sphere_record(v, text) for _, text, v in keyed]

@@ -25,11 +25,15 @@ class SingularMatrixError(ZeroDivisionError):
         self.matrix = matrix
 
 
+def _immutable(self, *a):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _reduced(x: int, y: int, d: int) -> "QSqrt2":
     """The QSqrt2 (x + y*sqrt2)/d, for ints x, y and d > 0."""
     g = math.gcd(x, y, d)
-    q = object.__new__(QSqrt2)
-    object.__setattr__(q, "xyd", (x, y, d) if g == 1 else (x // g, y // g, d // g))
+    q = _new(QSqrt2)
+    _set_xyd(q, (x, y, d) if g == 1 else (x // g, y // g, d // g))
     return q
 
 
@@ -47,11 +51,9 @@ class QSqrt2:
             raise TypeError(f"cannot make QSqrt2 of {rat!r} and {irr!r}")
         b, e = rat.denominator, irr.denominator
         d = math.lcm(b, e)  # reduced parts make the triple reduced
-        object.__setattr__(self, "xyd", (rat.numerator * (d // b),
-                                         irr.numerator * (d // e), d))
+        _set_xyd(self, (rat.numerator * (d // b), irr.numerator * (d // e), d))
 
-    def __setattr__(self, *a):
-        raise AttributeError("QSqrt2 is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def rat(self) -> Fraction:
@@ -63,7 +65,9 @@ class QSqrt2:
 
     @classmethod
     def coerce(cls, x: Scalar) -> "QSqrt2":
-        return x if isinstance(x, QSqrt2) else cls(x)
+        if isinstance(x, QSqrt2):
+            return x
+        return _reduced(x, 0, 1) if type(x) is int else cls(x)
 
     def __bool__(self) -> bool:
         return self.xyd != (0, 0, 1)
@@ -160,12 +164,16 @@ class QSqrt2:
         return f"QSqrt2({self.rat!r}, {self.irr!r})"
 
 
+# xyd is written through its slot descriptor, past the refusing __setattr__
+_new, _set_xyd = object.__new__, QSqrt2.xyd.__set__
 ZERO = QSqrt2(0)
 ONE = QSqrt2(1)
 SQRT2 = QSqrt2(0, 1)
 
 
 def _frac_str(n: int, d: int) -> str:
+    if d == 1:
+        return str(n)
     g = math.gcd(n, d)
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
@@ -187,7 +195,7 @@ _TERM = re.compile(
         (?P<coef>\d+(?:/\d+)?)\s*(?P<star>\*\s*sqrt2)?
       | (?P<bare>sqrt2)
     )\s*""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -247,13 +255,17 @@ def gauss_jordan(a: List[List[QSqrt2]], ncols: int) -> Tuple[List[int], QSqrt2]:
     return pivots, det
 
 
-def _scaled(qs: Iterable[QSqrt2]) -> Tuple[int, List[int], List[int]]:
+def _scaled(qs: Sequence[QSqrt2]) -> Tuple[int, Sequence[int], Sequence[int]]:
     """(D, X, Y): D the lcm of the denominators of ``qs``, and entry k
-    equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints."""
-    ts = [q.xyd for q in qs]
-    d = math.lcm(*(t[2] for t in ts))
-    return (d, [x * (d // e) for x, _, e in ts],
-            [y * (d // e) for _, y, e in ts])
+    equal to (X[k] + Y[k]*sqrt2) / D with X[k], Y[k] ints.  When every
+    denominator is D already, X and Y are the numerators, not rescaled."""
+    xs, ys, ds = zip(*[q.xyd for q in qs]) if qs else ((), (), (1,))
+    d = ds[0]
+    if ds.count(d) != len(ds):
+        d = math.lcm(*ds)
+        xs = [x * (d // e) for x, e in zip(xs, ds)]
+        ys = [y * (d // e) for y, e in zip(ys, ds)]
+    return d, xs, ys
 
 
 def _set_mat(m: "Mat", rows: int, cols: int, entries: Tuple[QSqrt2, ...]):
@@ -273,8 +285,7 @@ class Mat:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         _set_mat(self, rows, cols, entries)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Mat is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "Mat":
@@ -340,7 +351,7 @@ class Mat:
                         if irr_b:
                             r += 2 * sum(map(mul, yi, vj))
                     out.append(_reduced(r, s, d))
-            prod = object.__new__(Mat)
+            prod = _new(Mat)
             _set_mat(prod, n, p, tuple(out))
             return prod
         return self.scale(other)
@@ -348,8 +359,9 @@ class Mat:
     __rmul__ = scale
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        c, t = self.cols, _new(Mat)
+        _set_mat(t, c, self.rows, sum((self.entries[j::c] for j in range(c)), ()))
+        return t
 
     def _eliminate(self):
         """Gauss-Jordan elimination of [self | I]; returns (det,

@@ -183,6 +183,10 @@ def test_malformed_seed_file(tmp_path, capsys):
 
     zero_den = F1.to_json_dict()
     zero_den["rows"][0][0] = "1/0"
+    # F1 with its entry 1*sqrt2 written with a fullwidth 1
+    wide_digit = F1.to_json_dict()
+    assert wide_digit["rows"][2][2] == "1*sqrt2"
+    wide_digit["rows"][2][2] = "\uff11*sqrt2"
     seeds = {
         "bad_json": ("{not json", "not valid JSON"),
         "deep_nesting": ("[" * 10 ** 5 + "]" * 10 ** 5, "not valid JSON"),
@@ -190,6 +194,7 @@ def test_malformed_seed_file(tmp_path, capsys):
         "int_entries": (json.dumps({"rows": [[1, 2, 3, 4, 5]] * 5}),
                         "not a valid FMatrix"),
         "zero_denominator": (json.dumps(zero_den), "zero denominator"),
+        "non_ascii_digit": (json.dumps(wide_digit), "malformed"),
         "missing": (None, "unknown seed"),
         "identity_failure": (json.dumps({"rows": [["1"] * 5] * 5}),
                              "Gramian"),

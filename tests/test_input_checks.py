@@ -13,7 +13,7 @@ from orthoplex.config import (
 from orthoplex.inversive import (
     Coord5, HonestSphere, PlanarSphere, classify_pair,
 )
-from orthoplex.ring import Mat, QSqrt2
+from orthoplex.ring import Mat, QSqrt2, parse_qsqrt2
 
 BAD_INPUTS = {
     "bend_vector_of_3": (lambda: BendVector((1, 2, 3)),
@@ -66,6 +66,14 @@ BAD_INPUTS = {
                              ZeroDivisionError, "division by zero"),
     "complete_pair_gcd_3": (lambda: complete_pair(3, 6),
                             ValueError, "not a unit"),
+    # digits are ASCII only, as in fmatrix.schema.json and format_qsqrt2:
+    # Arabic-Indic 1/2, a fullwidth 0 and a fullwidth 2 in a coefficient
+    "parse_qsqrt2_arabic_indic_digits": (lambda: parse_qsqrt2("\u0661/\u0662"),
+                                         ValueError, "malformed"),
+    "parse_qsqrt2_fullwidth_zero": (lambda: parse_qsqrt2("\uff10"),
+                                    ValueError, "malformed"),
+    "parse_qsqrt2_fullwidth_coefficient": (
+        lambda: parse_qsqrt2("3/\uff12*sqrt2"), ValueError, "malformed"),
 }
 
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthoplex.arithmetic import J_CHANGE_OF_VARIABLES
+from orthoplex.arithmetic import J_CHANGE_OF_VARIABLES, GaussianInt
 from orthoplex.config import G_SIGMA_F, Q_F
 from orthoplex.groups import APOLLONIAN, DUAL_APOLLONIAN, PLATONIC
 from orthoplex.inversive import Q_SIGMA, Q_WILKER
 from orthoplex.ring import (
-    Mat, QSqrt2, SQRT2, SingularMatrixError, format_qsqrt2, parse_qsqrt2,
+    Mat, QSqrt2, SQRT2, ZERO, SingularMatrixError, _reduced, _scaled,
+    format_qsqrt2, parse_qsqrt2,
 )
 
 from conftest import random_qsqrt2
@@ -473,3 +474,76 @@ def test_constructor_refuses_anything_but_int_and_fraction():
             with pytest.raises(TypeError):
                 make()
     assert QSqrt2(1) != 1.0 and QSqrt2(1) != "1"
+
+
+def test_values_refuse_attribute_writes_and_deletes():
+    for value, attrs in ((QSqrt2(1, 2), ("xyd",)), (ZERO, ("xyd",)),
+                         (Mat.identity(2), ("rows", "cols", "entries")),
+                         (GaussianInt(3, 4), ("re", "im"))):
+        for attr in attrs:
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(value, attr, getattr(value, attr))
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(value, attr)
+    assert ZERO + 1 == 1 and ZERO.xyd == (0, 0, 1)
+
+
+def rescaled_every_entry(qs):
+    """``_scaled`` as it was before it kept shared numerators: every
+    entry rescaled to the lcm of the denominators, kept as its oracle."""
+    d = math.lcm(*(e for _, _, e in (q.xyd for q in qs)))
+    return (d, [x * (d // e) for x, _, e in (q.xyd for q in qs)],
+            [y * (d // e) for _, y, e in (q.xyd for q in qs)])
+
+
+@st.composite
+def over_one_denominator(draw):
+    """Reduced entries whose denominators all equal one d, d = 1 included:
+    (k d + 1 + y sqrt2)/d is reduced for every k and y."""
+    d = draw(st.sampled_from([1, 1, 2, 3, 12, 2 ** 70]))
+    pairs = st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(-99, 99))
+    return [_reduced(k * d + 1, y, d)
+            for k, y in draw(st.lists(pairs, min_size=1, max_size=25))]
+
+
+MIXED_ENTRIES = st.lists(
+    st.builds(QSqrt2, st.fractions(max_denominator=36),
+              st.fractions(max_denominator=36)), min_size=1, max_size=25)
+
+
+@given(st.one_of(over_one_denominator(), MIXED_ENTRIES))
+@settings(max_examples=300, deadline=None)
+@example([QSqrt2(Fraction(1, 2))])
+@example([QSqrt2(1), QSqrt2(Fraction(1, 2), 1)])
+@example(list(Q_SIGMA.entries))
+def test_scaled_matches_rescaling_every_entry(qs):
+    d, xs, ys = _scaled(qs)
+    assert (d, list(xs), list(ys)) == rescaled_every_entry(qs)
+    if len({q.xyd[2] for q in qs}) == 1:  # shared: the numerators as they are
+        assert (d, tuple(xs), tuple(ys)) == (
+            qs[0].xyd[2], *(tuple(t) for t in zip(*(q.xyd[:2] for q in qs))))
+
+
+@given(st.one_of(st.integers(-2 ** 90, 2 ** 90), st.booleans(),
+                 st.fractions(), st.builds(QSqrt2, st.fractions(),
+                                           st.fractions())))
+@example(0)
+@example(True)
+@example(Fraction(6, 4))
+def test_coerce_keeps_the_value_and_reduces_it(x):
+    q = QSqrt2.coerce(x)
+    if isinstance(x, QSqrt2):
+        assert q is x
+    else:
+        assert q == x
+        assert q.xyd == QSqrt2(x).xyd == (x.numerator, 0, x.denominator)
+    assert all(type(p) is int for p in q.xyd)
+    assert q.xyd[2] > 0 and math.gcd(*q.xyd) == 1
+
+
+def test_transpose_moves_the_entries():
+    m = Mat(2, 3, [1, SQRT2, Fraction(1, 2), -4, 0, QSqrt2(2, 3)])
+    t = m.transpose()
+    assert t.shape == (3, 2) and t.transpose() == m
+    assert all(t[j, i] is m[i, j] for i in range(2) for j in range(3))
+    assert Mat(0, 2, []).transpose().shape == (2, 0)
