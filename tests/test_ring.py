@@ -206,6 +206,8 @@ def entrywise_dot(a, b):
 @example((Q_SIGMA, Mat(5, 1, [1, 0, SQRT2, Fraction(-1, 2), 3])))
 @example((Q_F, Mat(5, 1, [Fraction(1, 3), 2, 0, -1, 5])))
 @example((J_CHANGE_OF_VARIABLES, Q_SIGMA))
+@example((Mat(0, 2, []), Mat(2, 0, [])))  # zero-size: no entries to scale
+@example((Mat(2, 0, []), Mat(0, 2, [])))
 def test_product_matches_entrywise_dot(ab):
     a, b = ab
     prod = a * b
@@ -513,6 +515,7 @@ MIXED_ENTRIES = st.lists(
 
 @given(st.one_of(over_one_denominator(), MIXED_ENTRIES))
 @settings(max_examples=300, deadline=None)
+@example([])
 @example([QSqrt2(Fraction(1, 2))])
 @example([QSqrt2(1), QSqrt2(Fraction(1, 2), 1)])
 @example(list(Q_SIGMA.entries))
